@@ -167,6 +167,7 @@ def _validate(config: RunConfig) -> None:
         (config.batch_size >= 1, "batch_size must be >= 1"),
         (0 <= config.dropout_rate < 1, "dropout_rate must be in [0, 1)"),
         (0 < config.lr_reduce_factor < 1, "lr_reduce_factor must be in (0, 1)"),
+        (config.base_channels >= 1, "base_channels must be >= 1"),
         (config.synth_per_class >= 2, "synth_per_class must be >= 2"),
     ]
     for ok, message in checks:

@@ -81,40 +81,6 @@ class GrayImage:
         return self.data.tobytes()
 
 
-class RgbImage:
-    """8-bit interleaved RGB raster, uint8 array of shape (height, width, 3)."""
-
-    __slots__ = ("width", "height", "data")
-
-    def __init__(self, width: int, height: int, data):
-        width = int(width)
-        height = int(height)
-        if width < 1 or height < 1:
-            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
-        arr = np.asarray(data)
-        if arr.size != 3 * width * height:
-            raise ValueError(f"data length {arr.size} != 3*width*height = {3 * width * height}")
-        arr = np.array(arr, dtype=np.uint8, copy=True).reshape(height, width, 3)
-        arr.flags.writeable = False
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RgbImage is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RgbImage)
-            and self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __repr__(self):
-        return f"RgbImage({self.width}x{self.height})"
-
-
 # ---------------------------------------------------------------------------
 # PGM reading / writing
 # ---------------------------------------------------------------------------
@@ -209,12 +175,6 @@ def save_pgm(image: GrayImage, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(image.tobytes())
-
-
-def stack_to_rgb(image: GrayImage) -> RgbImage:
-    """Replicate the single gray channel into three identical RGB channels."""
-    stacked = np.repeat(image.data[:, :, None], 3, axis=2)
-    return RgbImage(image.width, image.height, stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -32,24 +32,6 @@ def _round_u8(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class FeatureMap:
-    """Real-valued raster, float64 array of shape (channels, height, width)."""
-
-    __slots__ = ("width", "height", "channels", "data")
-
-    def __init__(self, width: int, height: int, channels: int, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.size != width * height * channels:
-            raise ValueError("data length does not match dimensions")
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "channels", int(channels))
-        object.__setattr__(self, "data", arr.reshape(channels, height, width))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FeatureMap is immutable")
-
-
 @dataclass(frozen=True)
 class CropRegion:
     x_start: int
@@ -189,11 +171,6 @@ def resize_bilinear(image: GrayImage, new_w: int, new_h: int) -> GrayImage:
     top = (1 - fx) * src[np.ix_(y0, x0)] + fx * src[np.ix_(y0, x1)]
     bottom = (1 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
     return GrayImage(new_w, new_h, _round_u8((1 - fy) * top + fy * bottom))
-
-
-def normalize(image: GrayImage) -> FeatureMap:
-    """Scale 8-bit intensities into [0, 1] by dividing by 255."""
-    return FeatureMap(image.width, image.height, 1, image.data / 255.0)
 
 
 def crop(image: GrayImage, region: CropRegion) -> GrayImage:

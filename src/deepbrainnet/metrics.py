@@ -178,14 +178,6 @@ def auc_trapezoid(fpr, tpr) -> float:
     return float((np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0).sum())
 
 
-def auc(curve: RocCurve) -> float:
-    return auc_trapezoid(curve.fpr, curve.tpr)
-
-
-def macro_auc(curves) -> float:
-    return float(np.mean([c.auc for c in curves]))
-
-
 def classification_report(y_true, scores, class_names=None) -> Report:
     """Full report from per-sample probability rows.
 

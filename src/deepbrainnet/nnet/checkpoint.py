@@ -27,17 +27,12 @@ from .network import Network, build_deepbrainnet_mini
 MAGIC = b"DBNMINI\x00"
 VERSION = 1
 
+# kinds of the named layers that own parameters; the numbers are on disk
 _KIND_CODES = {
     "conv2d": 1,
-    "depthwise_conv2d": 2,
-    "pointwise_conv2d": 3,
     "dense": 4,
     "ds_block": 5,
     "residual_block": 6,
-    "relu": 7,
-    "global_avg_pool": 8,
-    "dropout": 9,
-    "softmax": 10,
 }
 
 
@@ -47,11 +42,11 @@ class CheckpointError(ValueError):
 
 def _param_records(network: Network):
     """(layer name, kind, param name, array) in declaration order."""
-    records = []
-    for name, layer in network.named_layers():
-        for pname, param in zip(layer.param_names(), layer.parameters()):
-            records.append((name, layer.kind, pname, param))
-    return records
+    return [
+        (name, layer.kind, pname, param)
+        for name, layer in network.named_layers()
+        for pname, param, _ in layer.named_parameters()
+    ]
 
 
 def save_checkpoint(network: Network, path) -> None:
@@ -90,19 +85,28 @@ def load_checkpoint(path) -> Network:
     if blob[:8] != MAGIC:
         raise CheckpointError(f"bad magic in {path!r}")
     pos = 8
+
+    def take(size: int, what: str) -> int:
+        """Claim the next `size` bytes; return their offset."""
+        nonlocal pos
+        if pos + size > len(blob):
+            raise CheckpointError(
+                f"truncated checkpoint {path!r}: {what} needs bytes {pos}..{pos + size}, "
+                f"file has {len(blob)}"
+            )
+        pos += size
+        return pos - size
+
     version, input_size, n_classes, base_channels, dropout_rate, n_arrays = struct.unpack_from(
-        "<IIIIfI", blob, pos
+        "<IIIIfI", blob, take(struct.calcsize("<IIIIfI"), "header")
     )
-    pos += struct.calcsize("<IIIIfI")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
 
     shapes = []
     for _ in range(n_arrays):
-        kind_code, ndim = struct.unpack_from("<BB", blob, pos)
-        pos += 2
-        dims = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
+        kind_code, ndim = struct.unpack_from("<BB", blob, take(2, "shape table"))
+        dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, "shape table"))
         shapes.append((kind_code, dims))
 
     network = build_deepbrainnet_mini(
@@ -120,8 +124,8 @@ def load_checkpoint(path) -> Network:
                 f"expected {kind}{tuple(param.shape)}, found code {kind_code} dims {dims}"
             )
         count = int(np.prod(dims)) if dims else 1
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
+        offset = take(4 * count, f"{name}.{pname}")
+        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         param[...] = values.astype(np.float64).reshape(dims)
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")

@@ -9,7 +9,9 @@ gradient with respect to its input.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,25 +76,49 @@ def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 class Layer:
+    """Base layer: one parameter registry and one walk over it.
+
+    A layer with parameters calls `_register` once; composite layers hold
+    their sub-layers as attributes, which `children()` finds in assignment
+    order. Every accessor below walks `named_parameters()`, so parameter
+    order is declaration order, descending into children.
+    """
+
     kind = "layer"
+    params: Mapping[str, np.ndarray] = MappingProxyType({})
+    grads: Mapping[str, np.ndarray] = MappingProxyType({})
 
     def forward(self, x, training: bool = False, rng: Prng | None = None):
         raise NotImplementedError
 
-    def children(self) -> list["Layer"]:
-        return []
-
     def backward(self, grad):
         raise NotImplementedError
 
+    def _register(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        """Own a weight and a bias; `w`, `b`, `dw`, `db` alias the registered arrays."""
+        self.params = {"weight": weight, "bias": bias}
+        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        self.w, self.b = weight, bias
+        self.dw, self.db = self.grads["weight"], self.grads["bias"]
+
+    def children(self) -> dict[str, "Layer"]:
+        return {name: v for name, v in vars(self).items() if isinstance(v, Layer)}
+
+    def named_parameters(self, prefix: str = ""):
+        """Yield (dotted name, parameter, gradient), then recurse into children."""
+        for name, param in self.params.items():
+            yield prefix + name, param, self.grads[name]
+        for name, child in self.children().items():
+            yield from child.named_parameters(f"{prefix}{name}.")
+
     def parameters(self) -> list[np.ndarray]:
-        return []
+        return [p for _, p, _ in self.named_parameters()]
 
     def gradients(self) -> list[np.ndarray]:
-        return []
+        return [g for _, _, g in self.named_parameters()]
 
     def param_names(self) -> list[str]:
-        return []
+        return [name for name, _, _ in self.named_parameters()]
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -106,157 +132,103 @@ def _kaiming(rng: Prng, shape, fan_in: int) -> np.ndarray:
     return rng.normals(shape, sigma=np.sqrt(2.0 / fan_in))
 
 
-class Conv2d(Layer):
-    kind = "conv2d"
+def _window(i: int, j: int, stride: int, oh: int, ow: int):
+    """Index of the padded-input positions that tap (i, j) reads."""
+    return np.s_[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
 
-    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, rng: Prng | None = None):
+
+class _Conv(Layer):
+    """Zero-padded strided cross-correlation as one loop over the K x K taps.
+
+    Each tap contracts a strided input window with the tap's weight slice
+    `_taps(w)[..., i, j]`. Subclasses fix the stored weight shape and
+    `_contract`, the einsum subscripts of one tap's output, weight gradient
+    and input gradient.
+    """
+
+    _contract: tuple[str, str, str]
+
+    def __init__(self, c_in, c_out, weight_shape, kernel, stride, padding, rng):
         if kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = kernel, stride, padding
-        rng = rng or Prng(0)
-        self.w = _kaiming(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel)
-        self.b = np.zeros(c_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        fan_in = int(np.prod(weight_shape[1:]))
+        self._register(_kaiming(rng or Prng(0), weight_shape, fan_in), np.zeros(c_out))
         self._cache = None
+
+    def _taps(self, a: np.ndarray) -> np.ndarray:
+        """The weight (or its gradient) viewed as (channel axes..., K, K)."""
+        return a
 
     def forward(self, x, training=False, rng=None):
         x = as_tensor4(x)
-        n, c, h, w = x.shape
+        _, c, h, w = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = _conv_out_size(h, k, s, p), _conv_out_size(w, k, s, p)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        out = np.zeros((n, self.c_out, oh, ow))
-        for i in range(k):
-            for j in range(k):
-                sl = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                out += np.einsum("nchw,oc->nohw", sl, self.w[:, :, i, j])
-        out += self.b[None, :, None, None]
-        self._cache = (xp, x.shape, oh, ow)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        weight = self._taps(self.w)
+        out = None
+        for i, j in np.ndindex(k, k):
+            part = np.einsum(self._contract[0], xp[_window(i, j, s, oh, ow)], weight[..., i, j])
+            if out is None:
+                out = part
+            else:
+                out += part
+        out += self.b[:, None, None]
+        self._cache = (xp, h, w, oh, ow)
         return out
 
     def backward(self, grad):
-        xp, x_shape, oh, ow = self._cache
+        xp, h, w, oh, ow = self._cache
         k, s, p = self.kernel, self.stride, self.padding
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                sl = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                self.dw[:, :, i, j] += np.einsum("nohw,nchw->oc", grad, sl)
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += np.einsum(
-                    "nohw,oc->nchw", grad, self.w[:, :, i, j]
-                )
+        _, dw_subscripts, dx_subscripts = self._contract
+        weight, dweight = self._taps(self.w), self._taps(self.dw)
+        # a lone 1 x 1 stride-1 tap covers all of xp, so it needs no scatter buffer
+        dxp = None if k == s == 1 else np.zeros_like(xp)
+        for i, j in np.ndindex(k, k):
+            window = _window(i, j, s, oh, ow)
+            dweight[..., i, j] += np.einsum(dw_subscripts, grad, xp[window])
+            part = np.einsum(dx_subscripts, grad, weight[..., i, j])
+            if dxp is None:
+                dxp = part
+            else:
+                dxp[window] += part
         self.db += grad.sum(axis=(0, 2, 3))
-        n, c, h, w = x_shape
         return dxp[:, :, p : p + h, p : p + w]
 
-    def parameters(self):
-        return [self.w, self.b]
 
-    def gradients(self):
-        return [self.dw, self.db]
+class Conv2d(_Conv):
+    kind = "conv2d"
+    _contract = ("nchw,oc->nohw", "nohw,nchw->oc", "nohw,oc->nchw")
 
-    def param_names(self):
-        return ["weight", "bias"]
+    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, rng: Prng | None = None):
+        super().__init__(c_in, c_out, (c_out, c_in, kernel, kernel), kernel, stride, padding, rng)
 
 
-class DepthwiseConv2d(Layer):
+class DepthwiseConv2d(_Conv):
     """K x K convolution applied per channel; mixes no channels."""
 
     kind = "depthwise_conv2d"
+    _contract = ("nchw,c->nchw", "nchw,nchw->c", "nchw,c->nchw")
 
     def __init__(self, channels, kernel, stride=1, padding=0, rng: Prng | None = None):
-        if kernel % 2 == 0:
-            raise ValueError("kernel size must be odd")
-        self.channels = channels
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-        rng = rng or Prng(0)
-        self.w = _kaiming(rng, (channels, kernel, kernel), kernel * kernel)
-        self.b = np.zeros(channels)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
-
-    def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x)
-        n, c, h, w = x.shape
-        if c != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {c}")
-        k, s, p = self.kernel, self.stride, self.padding
-        oh, ow = _conv_out_size(h, k, s, p), _conv_out_size(w, k, s, p)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        out = np.zeros((n, c, oh, ow))
-        for i in range(k):
-            for j in range(k):
-                sl = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                out += sl * self.w[None, :, i, j, None, None]
-        out += self.b[None, :, None, None]
-        self._cache = (xp, x.shape, oh, ow)
-        return out
-
-    def backward(self, grad):
-        xp, x_shape, oh, ow = self._cache
-        k, s, p = self.kernel, self.stride, self.padding
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                sl = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                self.dw[:, i, j] += (grad * sl).sum(axis=(0, 2, 3))
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += (
-                    grad * self.w[None, :, i, j, None, None]
-                )
-        self.db += grad.sum(axis=(0, 2, 3))
-        n, c, h, w = x_shape
-        return dxp[:, :, p : p + h, p : p + w]
-
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["weight", "bias"]
+        super().__init__(channels, channels, (channels, kernel, kernel), kernel, stride, padding, rng)
 
 
-class PointwiseConv2d(Layer):
-    """1 x 1 convolution; mixes only channels."""
+class PointwiseConv2d(_Conv):
+    """1 x 1 convolution; mixes only channels. Stores its weight as (c_out, c_in)."""
 
     kind = "pointwise_conv2d"
+    _contract = Conv2d._contract
 
     def __init__(self, c_in, c_out, rng: Prng | None = None):
-        self.c_in, self.c_out = c_in, c_out
-        rng = rng or Prng(0)
-        self.w = _kaiming(rng, (c_out, c_in), c_in)
-        self.b = np.zeros(c_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
+        super().__init__(c_in, c_out, (c_out, c_in), 1, 1, 0, rng)
 
-    def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x)
-        if x.shape[1] != self.c_in:
-            raise ValueError(f"expected {self.c_in} input channels, got {x.shape[1]}")
-        self._cache = x
-        return np.einsum("nchw,oc->nohw", x, self.w) + self.b[None, :, None, None]
-
-    def backward(self, grad):
-        x = self._cache
-        self.dw += np.einsum("nohw,nchw->oc", grad, x)
-        self.db += grad.sum(axis=(0, 2, 3))
-        return np.einsum("nohw,oc->nchw", grad, self.w)
-
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["weight", "bias"]
+    def _taps(self, a):
+        return a[:, :, None, None]
 
 
 class ReLU(Layer):
@@ -294,10 +266,7 @@ class Dense(Layer):
     def __init__(self, features_in, features_out, rng: Prng | None = None):
         self.features_in, self.features_out = features_in, features_out
         rng = rng or Prng(0)
-        self.w = _kaiming(rng, (features_out, features_in), features_in)
-        self.b = np.zeros(features_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self._register(_kaiming(rng, (features_out, features_in), features_in), np.zeros(features_out))
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
@@ -311,15 +280,6 @@ class Dense(Layer):
         self.dw += grad.T @ self._cache
         self.db += grad.sum(axis=0)
         return grad @ self.w
-
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.dw, self.db]
-
-    def param_names(self):
-        return ["weight", "bias"]
 
 
 class Dropout(Layer):
@@ -385,20 +345,6 @@ class DsBlock(Layer):
     def backward(self, grad):
         return self.depthwise.backward(self.pointwise.backward(self.relu.backward(grad)))
 
-    def children(self):
-        return [self.depthwise, self.pointwise, self.relu]
-
-    def parameters(self):
-        return self.depthwise.parameters() + self.pointwise.parameters()
-
-    def gradients(self):
-        return self.depthwise.gradients() + self.pointwise.gradients()
-
-    def param_names(self):
-        return [f"depthwise.{n}" for n in self.depthwise.param_names()] + [
-            f"pointwise.{n}" for n in self.pointwise.param_names()
-        ]
-
 
 class ResidualBlock(Layer):
     """conv -> relu -> conv plus identity skip, then relu: out = relu(F(x) + x)."""
@@ -425,20 +371,6 @@ class ResidualBlock(Layer):
         grad_sum = self.relu2.backward(grad)
         grad_branch = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
         return grad_branch + grad_sum
-
-    def children(self):
-        return [self.conv1, self.relu1, self.conv2, self.relu2]
-
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
-
-    def gradients(self):
-        return self.conv1.gradients() + self.conv2.gradients()
-
-    def param_names(self):
-        return [f"conv1.{n}" for n in self.conv1.param_names()] + [
-            f"conv2.{n}" for n in self.conv2.param_names()
-        ]
 
 
 def compose_separable_kernel(block_or_pair) -> tuple[np.ndarray, np.ndarray]:

@@ -27,8 +27,14 @@ from .layers import (
 )
 
 
-class Network:
-    """Branch lists, fusion by feature concatenation, and the classifier head."""
+class Network(Layer):
+    """Branch lists, fusion by feature concatenation, and the classifier head.
+
+    Its children are the named layers, so `named_parameters()` yields names
+    such as `branch_a.2.conv1.weight` and `head.dense.bias`.
+    """
+
+    kind = "network"
 
     def __init__(
         self,
@@ -58,37 +64,18 @@ class Network:
         named += [("head.dropout", self.dropout), ("head.dense", self.dense), ("head.softmax", self.softmax)]
         return named
 
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for _, layer in self.named_layers():
-            params.extend(layer.parameters())
-        return params
-
-    def gradients(self) -> list[np.ndarray]:
-        grads = []
-        for _, layer in self.named_layers():
-            grads.extend(layer.gradients())
-        return grads
-
-    def head_parameters(self) -> list[np.ndarray]:
-        return self.dense.parameters()
-
-    def zero_grads(self) -> None:
-        for _, layer in self.named_layers():
-            layer.zero_grads()
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+    def children(self) -> dict[str, Layer]:
+        return dict(self.named_layers())
 
     def iter_layers(self):
         """Every layer, descending into composite blocks."""
 
         def walk(layer):
             yield layer
-            for child in layer.children():
+            for child in layer.children().values():
                 yield from walk(child)
 
-        for _, layer in self.named_layers():
+        for layer in self.children().values():
             yield from walk(layer)
 
     def relu_kink_margin(self, x) -> float:
@@ -165,6 +152,8 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
         raise ValueError(f"input_size must be >= 16 for the stride plan, got {input_size}")
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
+    if base_channels < 1:
+        raise ValueError(f"base_channels must be >= 1, got {base_channels}")
     c = base_channels
     rng = Prng(derive_seed(seed, 0xBEEF))
     branch_a: list[Layer] = [
@@ -232,7 +221,7 @@ def gradient_check(
     network.backward_from_logits(dlogits)
 
     worst = 0.0
-    for param, grad in zip(network.parameters(), network.gradients()):
+    for _, param, grad in network.named_parameters():
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
         if max_params_per_array is not None and flat.size > max_params_per_array:

@@ -139,8 +139,9 @@ def train(
 
     rng = Prng(config.seed)
     optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
-    head_ids = {id(p) for p in network.head_parameters()}
-    head_indices = {i for i, p in enumerate(network.parameters()) if id(p) in head_ids}
+    head_indices = {
+        i for i, (name, _, _) in enumerate(network.named_parameters()) if name.startswith("head.")
+    }
 
     history = TrainingHistory()
     lr = config.learning_rate

@@ -8,6 +8,7 @@ from deepbrainnet import cli
 from deepbrainnet.config import ConfigError, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, save_pgm
 from deepbrainnet.fcm import load_matrix_csv
+from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
 from deepbrainnet.rng import Prng
 
 
@@ -193,6 +194,12 @@ def test_bad_config_is_usage_error(tmp_path):
     assert run("train", "--config", str(path)) == 1
 
 
+def test_zero_base_channels_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", base_channels=0)
+    assert run("train", "--config", cfg) == 1
+    assert capsys.readouterr().err == "config error: base_channels must be >= 1\n"
+
+
 # ---------------------------------------------------------------------------
 # fcm stage
 # ---------------------------------------------------------------------------
@@ -376,6 +383,17 @@ def test_evaluate_rejects_class_count_mismatch(tmp_path):
     shutil.rmtree(out / "preprocessed" / "blank")
     shutil.rmtree(out / "preprocessed" / "blob")
     assert run("evaluate", "--config", cfg) == 2
+
+
+def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    path = tmp_path / "out" / "train" / "checkpoint.bin"
+    path.parent.mkdir(parents=True)
+    save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0, base_channels=4), path)
+    path.write_bytes(path.read_bytes()[:40])
+    assert run("evaluate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: truncated checkpoint") and err.count("\n") == 1
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

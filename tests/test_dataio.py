@@ -17,7 +17,6 @@ from deepbrainnet.dataio import (
     save_pgm,
     scan_dataset,
     split_manifest,
-    stack_to_rgb,
 )
 from deepbrainnet.rng import Prng
 
@@ -117,31 +116,6 @@ def test_gray_image_validates_bounds():
         GrayImage(0, 2, [])
     with pytest.raises(ValueError):
         GrayImage(1, 1, [300])
-
-
-# ---------------------------------------------------------------------------
-# RGB stacking
-# ---------------------------------------------------------------------------
-
-
-def test_stack_single_pixel():
-    rgb = stack_to_rgb(GrayImage(1, 1, [42]))
-    assert rgb.data.ravel().tolist() == [42, 42, 42]
-
-
-def test_stack_interleaves_triples():
-    rgb = stack_to_rgb(GrayImage(2, 1, [0, 255]))
-    assert rgb.data.ravel().tolist() == [0, 0, 0, 255, 255, 255]
-
-
-def test_stack_planes_equal_and_dims_preserved():
-    rng = Prng(4)
-    image = GrayImage(5, 3, [rng.below(256) for _ in range(15)])
-    rgb = stack_to_rgb(image)
-    assert (rgb.width, rgb.height) == (image.width, image.height)
-    assert rgb.data.size == 3 * image.data.size
-    for channel in range(3):
-        assert np.array_equal(rgb.data[:, :, channel], image.data)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from deepbrainnet.imaging import (
     draw_augmentation,
     edge_map_to_image,
     equalize_histogram,
-    normalize,
     resize_bilinear,
 )
 from deepbrainnet.rng import Prng
@@ -69,16 +68,8 @@ def test_resize_zero_dimension_rejected():
 
 
 # ---------------------------------------------------------------------------
-# normalize / crop
+# crop
 # ---------------------------------------------------------------------------
-
-
-def test_normalize_endpoints_and_midpoint():
-    fm = normalize(GrayImage(3, 1, [0, 255, 128]))
-    assert fm.data[0, 0, 0] == 0.0
-    assert fm.data[0, 0, 1] == 1.0
-    assert fm.data[0, 0, 2] == pytest.approx(128 / 255)
-    assert fm.data.min() >= 0.0 and fm.data.max() <= 1.0
 
 
 def test_crop_full_region_is_identity():

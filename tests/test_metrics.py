@@ -3,20 +3,17 @@ import pytest
 
 from deepbrainnet.metrics import (
     aggregate,
-    auc,
     auc_trapezoid,
     class_metrics,
     classification_report,
     confusion_matrix,
     confusion_svg,
     confusion_to_csv,
-    macro_auc,
     report_to_csv,
     report_to_text,
     roc_curve,
     roc_svg,
     roc_to_csv,
-    RocCurve,
 )
 from deepbrainnet.rng import Prng
 
@@ -236,15 +233,6 @@ def test_auc_invariant_under_monotone_transform():
 def test_unit_square_and_diagonal_curves():
     assert auc_trapezoid([0, 0, 1], [0, 1, 1]) == pytest.approx(1.0)
     assert auc_trapezoid([0, 1], [0, 1]) == pytest.approx(0.5)
-
-
-def test_macro_auc_is_mean():
-    curves = [
-        RocCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.5),
-        RocCurve(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0]), 1.0),
-    ]
-    assert macro_auc(curves) == pytest.approx(0.75)
-    assert auc(curves[1]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -58,6 +59,8 @@ def test_build_rejects_small_input_or_few_classes():
         build_deepbrainnet_mini(8, 4)
     with pytest.raises(ValueError):
         build_deepbrainnet_mini(32, 1)
+    with pytest.raises(ValueError):
+        build_deepbrainnet_mini(32, 4, base_channels=0)
 
 
 def test_build_is_seed_deterministic():
@@ -171,3 +174,31 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [
+    12,  # inside the fixed header
+    31,  # last byte of the fixed header missing
+    40,  # inside the shape table
+    -4 * 1000,  # inside the payload
+    -1,  # last payload byte missing
+])
+def test_checkpoint_rejects_cut_file(tmp_path, cut):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(build_deepbrainnet_mini(16, 4, seed=25, base_channels=8), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(CheckpointError, match="truncated checkpoint .*ck.bin"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    """Bytes of the v1 format, as first written; any layout change must bump VERSION."""
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(build_deepbrainnet_mini(16, 4, seed=0), path)
+    for file, size, digest in (
+        (path, 12024, "98583e8c8e5e3412171ba69460ceb9343cd91ee5a242870e618ed9ea054bdefa"),
+        (tmp_path / "checkpoint.bin.layers.csv", 852,
+         "1407f8877ca476b103102b82c04e1f557bdb82c2725774b24fce2199af0883f0"),
+    ):
+        blob = file.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)

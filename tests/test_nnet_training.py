@@ -109,14 +109,11 @@ def test_loss_windows_mostly_non_increasing():
 def test_freeze_epochs_keep_branches_fixed():
     train_set, val_set = build_and_split()
     net = build_deepbrainnet_mini(16, 3, seed=7, dropout_rate=0.0, base_channels=4)
-    before = [p.copy() for p in net.parameters()]
-    head_ids = {id(p) for p in net.head_parameters()}
+    before = {name: p.copy() for name, p, _ in net.named_parameters()}
     train(net, train_set, val_set, small_config(epochs=2, freeze_branches_epochs=2,
                                                 early_stop_patience=10))
-    for p, b in zip(net.parameters(), before):
-        if id(p) in head_ids:
-            continue
-        assert np.array_equal(p, b), "branch parameter moved during frozen epochs"
+    moved = {name for name, p, _ in net.named_parameters() if not np.array_equal(p, before[name])}
+    assert moved == {"head.dense.weight", "head.dense.bias"}
 
 
 def test_augment_fn_changes_history_under_same_seed():
