@@ -1,7 +1,7 @@
 """Desk-scale brain-MRI classification pipeline.
 
 Preprocessing and enhancement of 8-bit grayscale images, fuzzy c-means
-feature selection, a small two-branch convolutional classifier (residual plus
+segmentation, a small two-branch convolutional classifier (residual plus
 depthwise-separable branches), and a full multiclass evaluation suite, all
 reproducible from a single seed.
 """

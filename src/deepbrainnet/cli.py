@@ -35,14 +35,13 @@ from .dataio import (
     scan_dataset,
     split_manifest,
 )
-from .fcm import FcmConfig, fcm_segment, format_run_summary, save_matrix_csv
-from .imaging import ClaheParams, auto_crop_margins, box_blur, clahe, equalize_histogram, resize_bilinear
+from .fcm import fcm_segment, format_run_summary, save_matrix_csv
+from .imaging import auto_crop_margins, box_blur, clahe, equalize_histogram, resize_bilinear
 from .imaging import augment as augment_image
 from .metrics import classification_report, confusion_matrix, confusion_svg, confusion_to_csv
 from .metrics import report_to_csv, report_to_text, roc_curve, roc_svg, roc_to_csv
 from .nnet import (
     NonFiniteLossError,
-    TrainConfig,
     build_deepbrainnet_mini,
     load_checkpoint,
     predict,
@@ -186,8 +185,7 @@ def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
         elif step == "hist_eq":
             image = equalize_histogram(image)
         elif step == "clahe":
-            image = clahe(image, ClaheParams(config.clahe_tiles, config.clahe_tiles,
-                                             config.clahe_clip_limit))
+            image = clahe(image, config.clahe_params())
     return image
 
 
@@ -234,15 +232,7 @@ def cmd_fcm(config: RunConfig) -> int:
     for index, (rel_path, _) in enumerate(manifest.entries):
         try:
             image = load_pgm(manifest.full_path(rel_path))
-            fcm_config = FcmConfig(
-                c=config.fcm_clusters,
-                m_initial=config.fcm_m_initial,
-                m_final=config.fcm_m_final,
-                epsilon=config.fcm_epsilon,
-                max_iter=config.fcm_max_iter,
-                seed=derive_seed(fcm_seed, index),
-                tau=config.fcm_tau,
-            )
+            fcm_config = config.fcm_config(derive_seed(fcm_seed, index))
             label_map, result = fcm_segment(image, fcm_config)
         except ValueError as exc:
             raise DatasetError(f"fcm failed on {rel_path}: {exc}") from exc
@@ -289,20 +279,7 @@ def cmd_train(config: RunConfig) -> int:
         dropout_rate=config.dropout_rate,
         base_channels=config.base_channels,
     )
-    train_config = TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        adam_epsilon=config.adam_epsilon,
-        early_stop_patience=config.early_stop_patience,
-        lr_reduce_factor=config.lr_reduce_factor,
-        lr_reduce_patience=config.lr_reduce_patience,
-        dropout_rate=config.dropout_rate,
-        freeze_branches_epochs=config.freeze_branches_epochs,
-        seed=stage_seed(config.seed, "train"),
-    )
+    train_config = config.train_config(stage_seed(config.seed, "train"))
     augment_fn = None
     if config.augment_enabled:
         params = config.augment_params()

@@ -2,14 +2,20 @@
 
 Lines are `key = value`; `#` starts a comment; blank lines are ignored.
 Unknown keys are rejected so typos fail fast. Every key has a default, so an
-empty file is a valid configuration.
+empty file is a valid configuration. Every value is range-checked at load:
+`_validate` states the limits that no stage config states, then builds each
+stage config once so that its own constructor checks the rest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .imaging import AugmentParams
+from .dataio import SplitSpec
+from .fcm import FcmConfig
+from .imaging import AugmentParams, ClaheParams
+from .nnet.training import TrainConfig
 
 
 class ConfigError(Exception):
@@ -47,7 +53,6 @@ class RunConfig:
     fcm_m_final: float = 2.0
     fcm_epsilon: float = 1e-6
     fcm_max_iter: int = 100
-    fcm_tau: float = 0.6
     fcm_mask_enabled: bool = False
     # training
     epochs: int = 40
@@ -78,6 +83,24 @@ class RunConfig:
             shear_range=self.augment_shear,
             brightness_range=(self.augment_brightness_lo, self.augment_brightness_hi),
         )
+
+    def clahe_params(self) -> ClaheParams:
+        return ClaheParams(self.clahe_tiles, self.clahe_tiles, self.clahe_clip_limit)
+
+    def fcm_config(self, seed: int) -> FcmConfig:
+        return FcmConfig(
+            c=self.fcm_clusters,
+            m_initial=self.fcm_m_initial,
+            m_final=self.fcm_m_final,
+            epsilon=self.fcm_epsilon,
+            max_iter=self.fcm_max_iter,
+            seed=seed,
+        )
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """Every TrainConfig field but the seed comes from the key of the same name."""
+        keys = (f.name for f in fields(TrainConfig) if f.name != "seed")
+        return TrainConfig(seed=seed, **{key: getattr(self, key) for key in keys})
 
     def to_text(self) -> str:
         lines = []
@@ -150,26 +173,33 @@ def _convert(key: str, raw: str):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
     return raw
 
 
 def _validate(config: RunConfig) -> None:
+    """Limits no stage config states, then every stage config built once."""
     checks = [
         (config.image_size >= 16, "image_size must be >= 16"),
+        (0 <= config.background_threshold < 255, "background_threshold must be in [0, 255)"),
         (config.blur_kernel >= 1 and config.blur_kernel % 2 == 1, "blur_kernel must be odd"),
-        (config.clahe_tiles >= 1, "clahe_tiles must be >= 1"),
-        (config.clahe_clip_limit >= 1, "clahe_clip_limit must be >= 1"),
-        (0 < config.train_fraction < 1, "train_fraction must be in (0, 1)"),
-        (config.fcm_clusters >= 1, "fcm_clusters must be >= 1"),
-        (config.fcm_m_initial > 1 and config.fcm_m_final > 1, "fcm fuzzifiers must be > 1"),
-        (config.epochs >= 1, "epochs must be >= 1"),
-        (config.batch_size >= 1, "batch_size must be >= 1"),
+        (config.clahe_tiles <= config.image_size, "clahe_tiles must be <= image_size"),
+        (config.fcm_clusters <= 256, "fcm_clusters must be <= 256 (label maps are 8-bit)"),
         (0 <= config.dropout_rate < 1, "dropout_rate must be in [0, 1)"),
-        (0 < config.lr_reduce_factor < 1, "lr_reduce_factor must be in (0, 1)"),
         (config.base_channels >= 1, "base_channels must be >= 1"),
         (config.synth_per_class >= 2, "synth_per_class must be >= 2"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    try:
+        config.clahe_params()
+        config.augment_params()
+        config.fcm_config(seed=0)
+        config.train_config(seed=0)
+        SplitSpec(config.train_fraction)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

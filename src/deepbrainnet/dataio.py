@@ -211,12 +211,6 @@ class DatasetManifest:
     def full_path(self, rel_path: str) -> str:
         return os.path.join(self.root, rel_path)
 
-    def per_class_counts(self) -> list[int]:
-        counts = [0] * len(self.class_names)
-        for _, idx in self.entries:
-            counts[idx] += 1
-        return counts
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -24,7 +24,6 @@ import numpy as np
 from .dataio import GrayImage
 from .rng import Prng
 
-DEFAULT_TAU = 0.6
 _INIT_RETRIES = 32
 
 
@@ -36,19 +35,16 @@ class FcmConfig:
     epsilon: float = 1e-6
     max_iter: int = 100
     seed: int = 0
-    tau: float = DEFAULT_TAU
 
     def __post_init__(self):
         if self.c < 1:
-            raise ValueError(f"cluster count must be >= 1, got {self.c}")
+            raise ValueError(f"cluster count c must be >= 1, got {self.c}")
         if self.m_initial <= 1 or self.m_final <= 1:
-            raise ValueError("fuzzifiers must be > 1 so b = -1/(m-1) stays finite")
+            raise ValueError("m_initial and m_final must be > 1 so b = -1/(m-1) stays finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
 
 
 @dataclass
@@ -185,17 +181,6 @@ def fcm_cluster(
             converged = True
             break
     return FcmResult(memberships, centroids, iterations, shift, converged, trace)
-
-
-def select_features(result: FcmResult, tau: float = DEFAULT_TAU) -> list[int]:
-    """Indices whose strongest membership reaches tau, ascending.
-
-    An empty selection is legal; the caller decides what to do with it.
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    strongest = result.memberships.max(axis=1)
-    return [int(i) for i in np.nonzero(strongest >= tau)[0]]
 
 
 def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResult]:

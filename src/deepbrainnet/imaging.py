@@ -75,11 +75,7 @@ class AugmentParams:
                 raise ValueError(f"{name} must be non-negative")
         lo, hi = self.brightness_range
         if lo > hi or lo <= 0:
-            raise ValueError(f"bad brightness interval ({lo}, {hi})")
-
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls(0.0, False, False, 0.0, 0.0, 0.0, (1.0, 1.0))
+            raise ValueError(f"brightness_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ class ClaheParams:
 
     def __post_init__(self):
         if self.tiles_x < 1 or self.tiles_y < 1:
-            raise ValueError("tile counts must be >= 1")
+            raise ValueError("tiles_x and tiles_y must be >= 1")
         if self.clip_limit < 1:
             raise ValueError("clip_limit must be >= 1")
 
@@ -141,11 +137,6 @@ class EdgeMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeMap is immutable")
-
-
-def edge_map_to_image(edges: EdgeMap) -> GrayImage:
-    """Render an edge map as an exportable image with values {0, 255}."""
-    return GrayImage(edges.width, edges.height, edges.data * np.uint8(255))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +199,8 @@ def box_blur(image: GrayImage, m: int, n: int) -> GrayImage:
     """
     if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
         raise ValueError(f"kernel dimensions must be odd and positive, got {m}x{n}")
-    rx, ry = m // 2, n // 2
-    padded = np.pad(image.data.astype(np.float64), ((ry, ry), (rx, rx)), mode="edge")
-    acc = np.zeros((image.height, image.width))
-    for j in range(n):
-        for i in range(m):
-            acc += padded[j : j + image.height, i : i + image.width]
-    return GrayImage(image.width, image.height, _round_u8(acc / (m * n)))
+    total = _correlate2d_replicate(image.data.astype(np.float64), np.ones((n, m)))
+    return GrayImage(image.width, image.height, _round_u8(total / (m * n)))
 
 
 def equalization_map(image: GrayImage) -> np.ndarray:

@@ -117,9 +117,6 @@ class Layer:
     def gradients(self) -> list[np.ndarray]:
         return [g for _, _, g in self.named_parameters()]
 
-    def param_names(self) -> list[str]:
-        return [name for name, _, _ in self.named_parameters()]
-
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 

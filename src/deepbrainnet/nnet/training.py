@@ -33,21 +33,24 @@ class TrainConfig:
     early_stop_patience: int = 5
     lr_reduce_factor: float = 0.5
     lr_reduce_patience: int = 3
-    dropout_rate: float = 0.3
     freeze_branches_epochs: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.early_stop_patience < 1 or self.lr_reduce_patience < 1:
-            raise ValueError("patience values must be >= 1")
-        if not 0.0 < self.lr_reduce_factor < 1.0:
-            raise ValueError("lr_reduce_factor must be in (0, 1)")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        for name in ("epochs", "batch_size", "early_stop_patience", "lr_reduce_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.freeze_branches_epochs < 0:
             raise ValueError("freeze_branches_epochs must be >= 0")
+        if not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.adam_epsilon > 0.0:
+            raise ValueError("adam_epsilon must be > 0")
+        if not 0.0 < self.lr_reduce_factor < 1.0:
+            raise ValueError("lr_reduce_factor must be in (0, 1)")
 
 
 @dataclass

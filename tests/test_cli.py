@@ -1,11 +1,14 @@
 import hashlib
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deepbrainnet import cli
-from deepbrainnet.config import ConfigError, parse_config
+from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, save_pgm
 from deepbrainnet.fcm import load_matrix_csv
 from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
@@ -103,6 +106,15 @@ def test_validation_catches_bad_combos(tmp_path):
         parse_config(path)
 
 
+def test_readme_config_table_lists_every_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    keys = set()
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == {f.name for f in fields(RunConfig)}
+
+
 # ---------------------------------------------------------------------------
 # synth + preprocess
 # ---------------------------------------------------------------------------
@@ -188,10 +200,42 @@ def test_missing_dataset_is_data_error(workspace):
     assert run("preprocess", "--config", cfg) == 2
 
 
-def test_bad_config_is_usage_error(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("epochs = -2\n")
-    assert run("train", "--config", str(path)) == 1
+# (command, key, bad value, name the message must contain); every case is
+# caught when the config loads, before the command touches the disk
+BAD_SETTINGS = [
+    ("train", "epochs", -2, "epochs"),
+    ("fcm", "fcm_max_iter", 0, "max_iter"),
+    ("fcm", "fcm_epsilon", 0, "epsilon"),
+    ("fcm", "fcm_epsilon", "nan", "fcm_epsilon"),
+    ("fcm", "fcm_clusters", 300, "fcm_clusters"),
+    ("preprocess", "background_threshold", 300, "background_threshold"),
+    ("preprocess", "clahe_tiles", 64, "clahe_tiles"),
+    ("train", "early_stop_patience", 0, "early_stop_patience"),
+    ("train", "lr_reduce_patience", 0, "lr_reduce_patience"),
+    ("train", "freeze_branches_epochs", -1, "freeze_branches_epochs"),
+    ("train", "augment_rotation", -5, "rotation_range"),
+    ("train", "augment_zoom", -1, "zoom_range"),
+    ("train", "augment_brightness_lo", 0, "brightness_range"),
+    ("train", "beta1", 1.5, "beta1"),
+    ("train", "adam_epsilon", 0, "adam_epsilon"),
+    ("train", "learning_rate", -1, "learning_rate"),
+    ("train", "learning_rate", "inf", "learning_rate"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,name", BAD_SETTINGS,
+                         ids=[f"{key}={value}" for _, key, value, _ in BAD_SETTINGS])
+def test_bad_config_is_usage_error(tmp_path, capsys, command, key, value, name):
+    out_dir = tmp_path / "out"
+    cfg = write_config(tmp_path / "bad.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=out_dir, **{key: value})
+    assert run(command, "--config", cfg) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert name in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_dir.exists()
 
 
 def test_zero_base_channels_is_config_error(tmp_path, capsys):

@@ -159,15 +159,15 @@ def test_split_fractions_are_exact(tmp_path):
     _make_tree(tmp_path, ["a", "b"], 100)
     manifest = scan_dataset(tmp_path)
     train, val = split_manifest(manifest, SplitSpec(0.8, seed=1))
-    assert train.per_class_counts() == [80, 80]
-    assert val.per_class_counts() == [20, 20]
+    assert sorted(idx for _, idx in train.entries) == [0] * 80 + [1] * 80
+    assert sorted(idx for _, idx in val.entries) == [0] * 20 + [1] * 20
 
 
 def test_split_half_and_half(tmp_path):
     _make_tree(tmp_path, ["a", "b"], 10)
     train, val = split_manifest(scan_dataset(tmp_path), SplitSpec(0.5, seed=2))
-    assert train.per_class_counts() == [5, 5]
-    assert val.per_class_counts() == [5, 5]
+    for part in (train, val):
+        assert sorted(idx for _, idx in part.entries) == [0] * 5 + [1] * 5
 
 
 def test_split_is_deterministic_and_a_partition(tmp_path):

@@ -11,7 +11,6 @@ from deepbrainnet.fcm import (
     load_matrix_csv,
     pick_initial_centroids,
     save_matrix_csv,
-    select_features,
     update_centroids,
 )
 from deepbrainnet.rng import Prng
@@ -291,37 +290,6 @@ def test_config_validation():
         FcmConfig(c=0)
     with pytest.raises(ValueError):
         FcmConfig(c=2, m_initial=1.0)
-    with pytest.raises(ValueError):
-        FcmConfig(c=2, tau=1.0)
-
-
-# ---------------------------------------------------------------------------
-# feature selection
-# ---------------------------------------------------------------------------
-
-
-def _result_with_memberships(u):
-    from deepbrainnet.fcm import FcmResult
-
-    return FcmResult(np.asarray(u, dtype=float), np.zeros((u.shape[1], 1)), 1, 0.0, True, [2.0])
-
-
-def test_select_rejects_boundary_tau():
-    result = _result_with_memberships(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        select_features(result, 0.0)
-    with pytest.raises(ValueError):
-        select_features(result, 1.0)
-
-
-def test_select_keeps_crisp_memberships():
-    u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert select_features(_result_with_memberships(u), 0.9) == [0, 1, 2]
-
-
-def test_select_discards_ambiguous_point():
-    u = np.array([[0.5, 0.5], [0.95, 0.05]])
-    assert select_features(_result_with_memberships(u), 0.6) == [1]
 
 
 # ---------------------------------------------------------------------------

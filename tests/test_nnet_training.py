@@ -30,7 +30,6 @@ def small_config(**overrides):
         epochs=12,
         batch_size=8,
         learning_rate=5e-3,
-        dropout_rate=0.0,
         early_stop_patience=6,
         lr_reduce_patience=3,
         seed=5,
@@ -170,5 +169,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_reduce_factor=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(dropout_rate=1.0)
+    for bad in ({"learning_rate": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}, {"adam_epsilon": 0.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
