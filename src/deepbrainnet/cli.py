@@ -30,10 +30,12 @@ from .dataio import (
     SplitSpec,
     generate_synthetic_dataset,
     load_pgm,
+    manifest_from_csv,
     manifest_to_csv,
     save_pgm,
     scan_dataset,
     split_manifest,
+    write_atomic,
 )
 from .fcm import fcm_segment, format_run_summary, save_matrix_csv
 from .imaging import auto_crop_margins, box_blur, clahe, equalize_histogram, resize_bilinear
@@ -93,6 +95,15 @@ def _eval_dir(config: RunConfig) -> str:
     return os.path.join(config.output_dir, "eval")
 
 
+def _preprocessed_manifest(config: RunConfig) -> DatasetManifest:
+    """The images the last preprocess run wrote, as listed in its manifest.csv."""
+    root = _preprocessed_dir(config)
+    path = os.path.join(root, "manifest.csv")
+    if not os.path.isfile(path):
+        raise DatasetError(f"no manifest at {path!r}; run the preprocess command first")
+    return manifest_from_csv(path, root)
+
+
 def _split(config: RunConfig, manifest: DatasetManifest):
     spec = SplitSpec(config.train_fraction, stage_seed(config.seed, "split"))
     return split_manifest(manifest, spec)
@@ -140,7 +151,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_run_record(config: RunConfig, command: str, durations: dict, artifacts: list[str]) -> None:
-    """Plain-text key: value record plus a digest per artifact, written atomically."""
+    """Plain-text key: value record plus a digest per artifact."""
     lines = [f"command: {command}", f"tool_version: {__version__}"]
     for stage, seconds in durations.items():
         lines.append(f"duration_s.{stage}: {seconds:.3f}")
@@ -150,32 +161,27 @@ def _write_run_record(config: RunConfig, command: str, durations: dict, artifact
     for path in sorted(artifacts):
         rel = os.path.relpath(path, config.output_dir)
         lines.append(f"artifact: {_sha256(path)}  {rel}")
-    record_path = os.path.join(config.output_dir, f"runrecord_{command}.txt")
-    tmp_path = record_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp_path, record_path)
+    os.makedirs(config.output_dir, exist_ok=True)
+    write_atomic(os.path.join(config.output_dir, f"runrecord_{command}.txt"), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the artifacts it wrote and its stage seconds
+# beyond the total; main times it and writes the run record
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_synth(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     manifest = generate_synthetic_dataset(
         config.dataset_root,
         config.synth_per_class,
         config.image_size,
         stage_seed(config.seed, "synth"),
     )
-    os.makedirs(config.output_dir, exist_ok=True)
     artifacts = [manifest.full_path(rel) for rel, _ in manifest.entries]
     print(f"synth: wrote {len(manifest)} images across {len(manifest.class_names)} classes "
           f"under {config.dataset_root}")
-    _write_run_record(config, "synth", {"total": time.perf_counter() - started}, artifacts)
-    return 0
+    return artifacts, {}
 
 
 def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
@@ -189,13 +195,12 @@ def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
     return image
 
 
-def cmd_preprocess(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     manifest = scan_dataset(config.dataset_root)
     out_root = _preprocessed_dir(config)
-    artifacts = []
+    written = []
     failures = []
-    for rel_path, _ in manifest.entries:
+    for rel_path, class_index in manifest.entries:
         try:
             image = load_pgm(manifest.full_path(rel_path))
             cropped, _ = auto_crop_margins(image, config.background_threshold)
@@ -204,7 +209,7 @@ def cmd_preprocess(config: RunConfig) -> int:
             out_path = os.path.join(out_root, rel_path)
             os.makedirs(os.path.dirname(out_path), exist_ok=True)
             save_pgm(enhanced, out_path)
-            artifacts.append(out_path)
+            written.append((rel_path, class_index))
         except (PgmError, ValueError, OSError) as exc:
             failures.append((rel_path, str(exc)))
             print(f"preprocess: skipped {rel_path}: {exc}", file=sys.stderr)
@@ -212,19 +217,21 @@ def cmd_preprocess(config: RunConfig) -> int:
         raise DatasetError(
             f"preprocess failed on {len(failures)} of {len(manifest)} images (> 10%)"
         )
-    out_manifest = scan_dataset(out_root)
+    emptied = sorted(set(range(len(manifest.class_names))) - {idx for _, idx in written})
+    if emptied:  # manifest.csv cannot list a class without images
+        raise DatasetError(f"preprocess wrote no image of class {manifest.class_names[emptied[0]]!r}")
+    # only this run's images: files left by an earlier run stay out of later stages
+    out_manifest = DatasetManifest(out_root, tuple(written), manifest.class_names)
     manifest_csv = os.path.join(out_root, "manifest.csv")
     manifest_to_csv(out_manifest, manifest_csv)
-    artifacts.append(manifest_csv)
+    artifacts = [out_manifest.full_path(rel) for rel, _ in written] + [manifest_csv]
     print(f"preprocess: wrote {len(out_manifest)} images at {config.image_size}x"
           f"{config.image_size} under {out_root} ({len(failures)} skipped)")
-    _write_run_record(config, "preprocess", {"total": time.perf_counter() - started}, artifacts)
-    return 0
+    return artifacts, {}
 
 
-def cmd_fcm(config: RunConfig) -> int:
-    started = time.perf_counter()
-    manifest = scan_dataset(_preprocessed_dir(config))
+def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+    manifest = _preprocessed_manifest(config)
     out_root = _fcm_dir(config)
     fcm_seed = stage_seed(config.seed, "fcm")
     artifacts = []
@@ -254,18 +261,14 @@ def cmd_fcm(config: RunConfig) -> int:
             artifacts.append(mask_path)
         summaries.append(f"{rel_path},{format_run_summary(result)}")
     summary_path = os.path.join(out_root, "summaries.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path,iterations,final_shift,converged\n")
-        fh.write("\n".join(summaries) + "\n")
+    write_atomic(summary_path, "\n".join(["path,iterations,final_shift,converged", *summaries]) + "\n")
     artifacts.append(summary_path)
     print(f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}")
-    _write_run_record(config, "fcm", {"total": time.perf_counter() - started}, artifacts)
-    return 0
+    return artifacts, {}
 
 
-def cmd_train(config: RunConfig) -> int:
-    started = time.perf_counter()
-    manifest = scan_dataset(_preprocessed_dir(config))
+def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+    manifest = _preprocessed_manifest(config)
     train_manifest, val_manifest = _split(config, manifest)
     load_started = time.perf_counter()
     train_images, train_x, train_y = _load_tensors(config, train_manifest)
@@ -303,20 +306,13 @@ def cmd_train(config: RunConfig) -> int:
         f"final train_acc={history.train_acc[-1]:.3f} val_acc={history.val_acc[-1]:.3f}; "
         f"checkpoint at {checkpoint_path}"
     )
-    _write_run_record(
-        config,
-        "train",
-        {"total": time.perf_counter() - started, "load": load_seconds},
-        artifacts,
-    )
-    return 0
+    return artifacts, {"load": load_seconds}
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     checkpoint_path = os.path.join(_train_dir(config), "checkpoint.bin")
     network = load_checkpoint(checkpoint_path)
-    manifest = scan_dataset(_preprocessed_dir(config))
+    manifest = _preprocessed_manifest(config)
     if network.n_classes != len(manifest.class_names):
         raise DatasetError(
             f"checkpoint expects {network.n_classes} classes, dataset has "
@@ -337,8 +333,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     report_csv = os.path.join(out_dir, "report.csv")
     report_to_csv(report, report_csv)
     report_txt = os.path.join(out_dir, "report.txt")
-    with open(report_txt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_text(report))
+    write_atomic(report_txt, report_to_text(report))
     artifacts.extend([report_csv, report_txt])
 
     cm = confusion_matrix(val_y, y_pred, len(manifest.class_names), manifest.class_names)
@@ -364,15 +359,13 @@ def cmd_evaluate(config: RunConfig) -> int:
     for row, (rel_path, true_idx) in enumerate(val_manifest.entries):
         probs = ",".join(f"{scores[row, j]:.17g}" for j in range(k))
         lines.append(f"{rel_path},{true_idx},{int(y_pred[row])},{probs}")
-    with open(predictions_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(predictions_path, "\n".join(lines) + "\n")
     artifacts.append(predictions_path)
 
     print(report_to_text(report))
     print(f"evaluate: {len(val_manifest)} validation images, accuracy {report.accuracy:.3f}; "
           f"artifacts under {out_dir}")
-    _write_run_record(config, "evaluate", {"total": time.perf_counter() - started}, artifacts)
-    return 0
+    return artifacts, {}
 
 
 def cmd_report_demo() -> int:
@@ -392,6 +385,15 @@ def cmd_report_demo() -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+COMMANDS = {
+    "synth": cmd_synth,
+    "preprocess": cmd_preprocess,
+    "fcm": cmd_fcm,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,20 +428,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if args.command == "report-demo":
+        return cmd_report_demo()
     try:
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "preprocess":
-            return cmd_preprocess(config)
-        if args.command == "fcm":
-            return cmd_fcm(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "report-demo":
-            return cmd_report_demo()
-        raise AssertionError(f"unhandled command {args.command}")
+        started = time.perf_counter()
+        artifacts, stage_seconds = COMMANDS[args.command](config)
+        durations = {"total": time.perf_counter() - started, **stage_seconds}
+        _write_run_record(config, args.command, durations, artifacts)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ formats is left to external tools.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -154,6 +155,12 @@ def load_pgm(path) -> GrayImage:
             )
         data = np.frombuffer(raster, dtype=np.uint8)
     else:
+        # every sample needs a separator and a digit; check before allocating
+        if len(blob) - pos < 2 * count:
+            raise TruncatedPayloadError(
+                f"raster needs {count} samples, at least {2 * count} bytes after byte {pos}; "
+                f"file ends at byte {len(blob)}"
+            )
         values = np.empty(count, dtype=np.uint8)
         for i in range(count):
             try:
@@ -172,9 +179,27 @@ def load_pgm(path) -> GrayImage:
 def save_pgm(image: GrayImage, path) -> None:
     """Write a binary P5 file with maxval 255; load_pgm round-trips it exactly."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(image.tobytes())
+    write_atomic(path, header + image.tobytes())
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data` (str as UTF-8) to `<path>.tmp`, then rename it onto `path`.
+
+    An interrupted write leaves the old file or the new one, never a part of
+    either. The parent directory must exist. No fsync: this guards against a
+    killed process, not against power loss.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp_path = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp_path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +311,7 @@ def manifest_to_csv(manifest: DatasetManifest, path) -> None:
     lines = ["path,class_index,class_name"]
     for rel_path, idx in manifest.entries:
         lines.append(f"{rel_path},{idx},{manifest.class_names[idx]}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def manifest_from_csv(path, root: str) -> DatasetManifest:

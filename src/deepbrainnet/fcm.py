@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import GrayImage
+from .dataio import GrayImage, write_atomic
 from .rng import Prng
 
 _INIT_RETRIES = 32
@@ -206,9 +206,7 @@ def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResu
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """One row per line, comma separated, 17 significant digits."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_atomic(path, "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr))
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_atomic
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -221,8 +223,7 @@ def report_to_csv(report: Report, path) -> None:
         f"weighted_avg,{report.weighted_precision:.3f},{report.weighted_recall:.3f},"
         f"{report.weighted_f1:.3f},{report.total},"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def report_to_text(report: Report) -> str:
@@ -256,16 +257,14 @@ def roc_to_csv(curve: RocCurve, path) -> None:
     lines = ["fpr,tpr"]
     for f, t in zip(curve.fpr, curve.tpr):
         lines.append(f"{f:.17g},{t:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def confusion_to_csv(cm: ConfusionMatrix, path) -> None:
     lines = ["true\\pred," + ",".join(cm.class_names)]
     for j, name in enumerate(cm.class_names):
         lines.append(name + "," + ",".join(str(int(v)) for v in cm.counts[j]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
@@ -321,8 +320,7 @@ def roc_svg(curves, class_names, path) -> None:
             f"{name} (AUC={curve.auc:.3f})</text>"
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def confusion_svg(cm: ConfusionMatrix, path) -> None:
@@ -361,5 +359,4 @@ def confusion_svg(cm: ConfusionMatrix, path) -> None:
                 f'font-size="12" text-anchor="middle" fill="{text_fill}">{value}</text>'
             )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")

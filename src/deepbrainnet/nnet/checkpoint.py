@@ -18,10 +18,12 @@ names, and shapes for inspection.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
+from ..dataio import write_atomic
 from .network import Network, build_deepbrainnet_mini
 
 MAGIC = b"DBNMINI\x00"
@@ -67,16 +69,13 @@ def save_checkpoint(network: Network, path) -> None:
         header += struct.pack("<BB", _KIND_CODES[kind], param.ndim)
         header += struct.pack(f"<{param.ndim}I", *param.shape)
         blob += param.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(header + blob))
 
     lines = ["index,layer,kind,param,shape"]
     for i, (name, kind, pname, param) in enumerate(records):
         shape = "x".join(str(d) for d in param.shape)
         lines.append(f"{i},{name},{kind},{pname},{shape}")
-    with open(f"{path}.layers.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(f"{path}.layers.csv", "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> Network:
@@ -108,6 +107,15 @@ def load_checkpoint(path) -> Network:
         kind_code, ndim = struct.unpack_from("<BB", blob, take(2, "shape table"))
         dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, "shape table"))
         shapes.append((kind_code, dims))
+    # the header sizes the network, so it must agree with the table (the first
+    # array is the stem weight, the last the dense bias) and the table with the
+    # file length before anything is built
+    if not shapes or shapes[0][1][:1] != (base_channels,) or shapes[-1][1] != (n_classes,):
+        raise CheckpointError(
+            f"header of {path!r} ({n_classes} classes, {base_channels} base channels) "
+            "disagrees with its shape table"
+        )
+    pos = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")  # rewound: arrays claim it below
 
     network = build_deepbrainnet_mini(
         input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels
@@ -123,7 +131,7 @@ def load_checkpoint(path) -> Network:
                 f"layer table mismatch at {name}.{pname}: "
                 f"expected {kind}{tuple(param.shape)}, found code {kind_code} dims {dims}"
             )
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)
         offset = take(4 * count, f"{name}.{pname}")
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         param[...] = values.astype(np.float64).reshape(dims)

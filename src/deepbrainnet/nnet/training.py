@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataio import write_atomic
 from ..rng import Prng
 from .network import Network, softmax_cross_entropy
 
@@ -73,8 +74,7 @@ class TrainingHistory:
                 f"{i + 1},{self.train_loss[i]:.10g},{self.train_acc[i]:.10g},"
                 f"{self.val_loss[i]:.10g},{self.val_acc[i]:.10g},{self.lr[i]:.10g}"
             )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 class Adam:

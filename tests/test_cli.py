@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from deepbrainnet import cli
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
-from deepbrainnet.dataio import GrayImage, load_pgm, save_pgm
+from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
 from deepbrainnet.fcm import load_matrix_csv
 from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
 from deepbrainnet.rng import Prng
@@ -195,6 +196,20 @@ def test_preprocess_aborts_over_failure_threshold(workspace):
     assert run("preprocess", "--config", cfg) == 2
 
 
+def test_preprocess_that_empties_a_class_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", synth_per_class=12)
+    assert run("synth", "--config", cfg) == 0
+    shutil.rmtree(tmp_path / "dataset" / "blank")
+    os.makedirs(tmp_path / "dataset" / "empty")
+    (tmp_path / "dataset" / "empty" / "bad.pgm").write_bytes(b"P5 4 4 255\n")
+    capsys.readouterr()
+    assert run("preprocess", "--config", cfg) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "data error: preprocess wrote no image of class 'empty'"
+    )
+
+
 def test_missing_dataset_is_data_error(workspace):
     _, cfg = workspace
     assert run("preprocess", "--config", cfg) == 2
@@ -273,17 +288,16 @@ def test_fcm_masks_bilevel_image(tmp_path):
         fcm_clusters=2,
     )
     rng = Prng(5)
+    preprocessed = tmp_path / "out" / "preprocessed"
     for class_name in ("dark", "lit"):
-        os.makedirs(tmp_path / "out" / "preprocessed" / class_name)
+        os.makedirs(preprocessed / class_name)
         for i in range(2):
             base = 200 if class_name == "lit" else 0
             data = [
                 (base if rng.coin() else 30) for _ in range(16 * 16)
             ]
-            save_pgm(
-                GrayImage(16, 16, data),
-                tmp_path / "out" / "preprocessed" / class_name / f"{class_name}_{i}.pgm",
-            )
+            save_pgm(GrayImage(16, 16, data), preprocessed / class_name / f"{class_name}_{i}.pgm")
+    manifest_to_csv(scan_dataset(preprocessed), preprocessed / "manifest.csv")
     assert run("fcm", "--config", str(tmp_path / "run.cfg")) == 0
 
     out_root = tmp_path / "out" / "fcm"
@@ -419,25 +433,67 @@ def test_run_record_digests_verify(tmp_path):
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
-def test_evaluate_rejects_class_count_mismatch(tmp_path):
+def test_evaluate_rejects_class_count_mismatch(tmp_path, capsys):
     out, cfg = pipeline(tmp_path)
-    # drop two classes from the preprocessed tree -> checkpoint expects 4
-    import shutil
-
-    shutil.rmtree(out / "preprocessed" / "blank")
-    shutil.rmtree(out / "preprocessed" / "blob")
+    # keep only ring and stripe (renumbered 0 and 1) in the manifest -> checkpoint expects 4
+    manifest = out / "preprocessed" / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    kept = [row for row in rows if row.endswith((",ring", ",stripe"))]
+    renumbered = [row.replace(",2,ring", ",0,ring").replace(",3,stripe", ",1,stripe") for row in kept]
+    manifest.write_text("\n".join([header, *renumbered]) + "\n")
+    capsys.readouterr()
     assert run("evaluate", "--config", cfg) == 2
+    assert capsys.readouterr().err == "data error: checkpoint expects 4 classes, dataset has 2\n"
 
 
-def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
+def test_later_stages_ignore_stale_preprocessed_images(tmp_path, capsys):
+    """Images an earlier preprocess run left behind stay out of manifest.csv and fcm."""
+    stale = write_config(tmp_path / "stale.cfg", dataset_root=tmp_path / "big",
+                         output_dir=tmp_path / "out", synth_per_class=6)
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "small",
+                       output_dir=tmp_path / "out", synth_per_class=3)
+    for config in (stale, cfg):
+        assert run("synth", "--config", config) == 0
+    assert run("preprocess", "--config", stale) == 0
+    capsys.readouterr()
+    assert run("preprocess", "--config", cfg) == 0
+    assert "preprocess: wrote 12 images" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "preprocessed" / "manifest.csv").read_text().splitlines()
+    assert len(rows) - 1 == 12
+    assert run("fcm", "--config", cfg) == 0
+    summaries = (tmp_path / "out" / "fcm" / "summaries.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summaries[1:]] == [row.split(",")[0] for row in rows[1:]]
+
+
+def test_stages_without_a_manifest_are_data_errors(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    assert run("fcm", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: no manifest at ") and err.count("\n") == 1
+
+
+def evaluate_corrupt_checkpoint(tmp_path, capsys, corrupt) -> str:
+    """stderr of `evaluate` on a checkpoint whose bytes `corrupt` rewrote; asserts exit 2."""
     cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
     path = tmp_path / "out" / "train" / "checkpoint.bin"
     path.parent.mkdir(parents=True)
     save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0, base_channels=4), path)
-    path.write_bytes(path.read_bytes()[:40])
+    path.write_bytes(corrupt(path.read_bytes()))
     assert run("evaluate", "--config", cfg) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: truncated checkpoint") and err.count("\n") == 1
+    assert err.count("\n") == 1
+    return err
+
+
+def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:40])
+    assert err.startswith("data error: truncated checkpoint")
+
+
+def test_evaluate_huge_class_count_is_data_error(tmp_path, capsys):
+    patched = (2**30).to_bytes(4, "little")
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:16] + patched + blob[20:])
+    assert err.startswith("data error: header of") and "disagrees with its shape table" in err
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

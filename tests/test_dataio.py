@@ -1,8 +1,14 @@
+import ast
+import errno
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepbrainnet
+from deepbrainnet import dataio
 from deepbrainnet.dataio import (
     DatasetError,
     GrayImage,
@@ -17,6 +23,7 @@ from deepbrainnet.dataio import (
     save_pgm,
     scan_dataset,
     split_manifest,
+    write_atomic,
 )
 from deepbrainnet.rng import Prng
 
@@ -77,6 +84,19 @@ def test_p2_truncated_samples(tmp_path):
         load_pgm(path)
 
 
+def test_p2_huge_header_on_short_file_allocates_nothing(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2 10000 10000 255 1 2 3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match="100000000 samples"):
+            load_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P6 1 1 255 abc")
@@ -107,6 +127,99 @@ def test_small_file_shape(tmp_path):
 def test_save_to_unwritable_directory(tmp_path):
     with pytest.raises(OSError):
         save_pgm(GrayImage(1, 1, [0]), tmp_path / "missing" / "a.pgm")
+
+
+def _write_half_then_fail(real_open):
+    def opener(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        real_write = fh.write
+
+        def write(data):
+            real_write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    return opener
+
+
+def _interrupt(*_args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failure", ["write", "rename"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
+    target = tmp_path / "a.csv"
+    write_atomic(target, "old\n")
+    if failure == "write":
+        monkeypatch.setattr(dataio, "open", _write_half_then_fail(open), raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _interrupt)
+    with pytest.raises((OSError, KeyboardInterrupt)):
+        write_atomic(target, b"new contents " * 100)
+    monkeypatch.undo()
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
+def test_write_atomic_replaces_and_encodes(tmp_path):
+    target = tmp_path / "a.txt"
+    write_atomic(target, b"\x00\xff")
+    write_atomic(target, "caf\u00e9\n")
+    assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+# calls that write a file whatever their arguments, besides os.* and shutil.* file calls
+_WRITING_CALLS = {"write_text", "write_bytes", "tofile", "save", "savez", "savez_compressed",
+                  "savetxt", "mkstemp", "NamedTemporaryFile", "TemporaryFile"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """True unless the call is known to leave the file system alone or only read."""
+    func = call.func
+    owner = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else ""
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in _WRITING_CALLS or owner == "shutil" or (name in ("open", "fdopen") and owner == "os"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and io.open(file, mode) take the mode second, Path.open(mode) first
+    modes = call.args[1:2] if isinstance(func, ast.Name) or owner == "io" else call.args[:1]
+    modes += [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str) and not set(m.value) & set("wax+"))
+        for m in modes
+    )
+
+
+class _WriteFinder(ast.NodeVisitor):
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.writers: set[str] = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if _opens_for_writing(node):
+            self.writers.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_write_atomic_is_the_only_file_writer():
+    package = Path(deepbrainnet.__file__).parent
+    writers = set()
+    for path in sorted(package.rglob("*.py")):
+        finder = _WriteFinder(".".join(path.relative_to(package).with_suffix("").parts))
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        writers |= finder.writers
+    assert writers == {"dataio.write_atomic"}
 
 
 def test_gray_image_validates_bounds():

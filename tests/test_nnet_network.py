@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ def test_checkpoint_rejects_cut_file(tmp_path, cut):
     save_checkpoint(build_deepbrainnet_mini(16, 4, seed=25, base_channels=8), path)
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(CheckpointError, match="truncated checkpoint .*ck.bin"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("patches", [
+    {16: 2**30},  # class count
+    {20: 2**30},  # base channel count
+    {20: 2**16, 34: 2**16},  # base channels and the stem's first dim: the table outgrows the file
+])
+def test_checkpoint_header_is_checked_before_building(tmp_path, patches):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(build_deepbrainnet_mini(16, 4, seed=25, base_channels=8), path)
+    blob = bytearray(path.read_bytes())
+    for offset, value in patches.items():
+        struct.pack_into("<I", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="disagrees with its shape table|truncated checkpoint"):
         load_checkpoint(path)
 
 
