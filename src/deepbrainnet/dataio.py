@@ -382,22 +382,25 @@ def _texture(class_name: str, size: int, rng: Prng) -> GrayImage:
 def generate_synthetic_dataset(
     root_dir, n_per_class: int, image_size: int, seed: int
 ) -> DatasetManifest:
-    """Write a 4-class textured PGM dataset under root_dir and scan it.
+    """Write a 4-class textured PGM dataset under root_dir; return its manifest.
 
     Classes (blank noise, bright blob, bright ring, vertical stripes) occupy
     distinct intensity bands and spatial patterns, so a small classifier can
-    separate them. Identical seeds give bit-identical files.
+    separate them. Identical seeds give bit-identical files. The manifest
+    lists the files written by this call only, in `scan_dataset` order, so
+    files an earlier run left under root_dir are not counted as its output.
     """
     if n_per_class < 2:
         raise ValueError(f"n_per_class must be >= 2, got {n_per_class}")
     if image_size < 16:
         raise ValueError(f"image_size must be >= 16, got {image_size}")
     root_dir = os.fspath(root_dir)
+    entries = []
     for class_idx, name in enumerate(SYNTHETIC_CLASSES):
-        class_dir = os.path.join(root_dir, name)
-        os.makedirs(class_dir, exist_ok=True)
+        os.makedirs(os.path.join(root_dir, name), exist_ok=True)
         for i in range(n_per_class):
             rng = Prng(derive_seed(seed, class_idx, i))
-            image = _texture(name, image_size, rng)
-            save_pgm(image, os.path.join(class_dir, f"{name}_{i:03d}.pgm"))
-    return scan_dataset(root_dir)
+            rel = f"{name}/{name}_{i:03d}.pgm"
+            save_pgm(_texture(name, image_size, rng), os.path.join(root_dir, rel))
+            entries.append((rel, class_idx))
+    return DatasetManifest(root_dir, tuple(sorted(entries)), SYNTHETIC_CLASSES)

@@ -2,9 +2,12 @@
 
 Tensors are plain numpy float64 arrays in NCHW order. Convolutions are
 cross-correlations with zero padding; output spatial size is
-floor((H + 2p - K) / s) + 1. Each layer caches what its backward pass needs,
-accumulates parameter gradients into its own buffers, and returns the
-gradient with respect to its input.
+floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps, and a
+tap is one small BLAS GEMM per image row of the row-stacked (N, H, C, W)
+view of the input (see `_Conv`); what they return are NCHW views of
+row-stacked arrays, and every layer accepts any memory layout. Each layer
+caches what its backward pass needs, accumulates parameter gradients into its
+own buffers, and returns the gradient with respect to its input.
 """
 
 from __future__ import annotations
@@ -130,20 +133,29 @@ def _kaiming(rng: Prng, shape, fan_in: int) -> np.ndarray:
 
 
 def _window(i: int, j: int, stride: int, oh: int, ow: int):
-    """Index of the padded-input positions that tap (i, j) reads."""
-    return np.s_[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    """Index of the padded row-stacked positions that tap (i, j) reads."""
+    return np.s_[:, i : i + stride * oh : stride, :, j : j + stride * ow : stride]
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Swap the channel and row axes: NCHW <-> row-stacked (N, H, C, W), as a view."""
+    return a.transpose(0, 2, 1, 3)
 
 
 class _Conv(Layer):
     """Zero-padded strided cross-correlation as one loop over the K x K taps.
 
-    Each tap contracts a strided input window with the tap's weight slice
-    `_taps(w)[..., i, j]`. Subclasses fix the stored weight shape and
-    `_contract`, the einsum subscripts of one tap's output, weight gradient
-    and input gradient.
+    The taps work on the row-stacked view (N, H, C, W) of the padded input,
+    in which every image row is a (C, W) matrix. A dense tap's output rows are
+    then `W_ij @ window`: one (O x C)(C x OW) BLAS GEMM per output row, reading
+    the strided window in place, with no im2col buffer. Backward follows the
+    same pattern: dW_ij sums `g_rows @ window^T` over the rows, and the rows of
+    the input gradient gain `W_ij^T @ g_rows`. Outputs and input gradients are
+    NCHW views of row-stacked arrays, so a chain of convolutions never copies
+    to change layout. Subclasses fix the stored weight shape, which `_taps`
+    views tap-first; `DepthwiseConv2d` replaces the three per-tap products
+    with broadcast multiplies.
     """
-
-    _contract: tuple[str, str, str]
 
     def __init__(self, c_in, c_out, weight_shape, kernel, stride, padding, rng):
         if kernel % 2 == 0:
@@ -155,51 +167,67 @@ class _Conv(Layer):
         self._cache = None
 
     def _taps(self, a: np.ndarray) -> np.ndarray:
-        """The weight (or its gradient) viewed as (channel axes..., K, K)."""
-        return a
+        """The weight (or its gradient) viewed as (K, K, channel axes...)."""
+        return np.moveaxis(a, (-2, -1), (0, 1))
+
+    # the three per-tap products; rows are (N, OH, C, OW), g_rows (N, OH, O, OW)
+
+    def _tap_output(self, w_ij, rows, out=None):
+        return np.matmul(w_ij, rows, out=out)
+
+    def _tap_weight_grad(self, g_rows, rows):
+        return (g_rows @ rows.swapaxes(-1, -2)).sum(axis=(0, 1))
+
+    def _tap_input_grad(self, w_ij, g_rows, out=None):
+        return np.matmul(w_ij.T, g_rows, out=out)
 
     def forward(self, x, training=False, rng=None):
         x = as_tensor4(x)
-        _, c, h, w = x.shape
+        n, c, h, w = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = _conv_out_size(h, k, s, p), _conv_out_size(w, k, s, p)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        weight = self._taps(self.w)
-        out = None
+        if p:
+            xr = np.zeros((n, h + 2 * p, c, w + 2 * p))
+            xr[:, p : p + h, :, p : p + w] = _rows(x)
+        else:
+            xr = _rows(x)
+        weight = np.ascontiguousarray(self._taps(self.w))
+        out = part = None
         for i, j in np.ndindex(k, k):
-            part = np.einsum(self._contract[0], xp[_window(i, j, s, oh, ow)], weight[..., i, j])
+            part = self._tap_output(weight[i, j], xr[_window(i, j, s, oh, ow)], out=part)
             if out is None:
-                out = part
+                out, part = part, None
             else:
                 out += part
-        out += self.b[:, None, None]
-        self._cache = (xp, h, w, oh, ow)
-        return out
+        out += self.b[:, None]
+        self._cache = (xr, h, w, oh, ow)
+        return _rows(out)
 
     def backward(self, grad):
-        xp, h, w, oh, ow = self._cache
+        xr, h, w, oh, ow = self._cache
         k, s, p = self.kernel, self.stride, self.padding
-        _, dw_subscripts, dx_subscripts = self._contract
-        weight, dweight = self._taps(self.w), self._taps(self.dw)
-        # a lone 1 x 1 stride-1 tap covers all of xp, so it needs no scatter buffer
-        dxp = None if k == s == 1 else np.zeros_like(xp)
+        g_rows = _rows(grad)
+        weight = np.ascontiguousarray(self._taps(self.w))
+        dweight = self._taps(self.dw)
+        # a lone 1 x 1 stride-1 tap covers all of xr, so it needs no scatter buffer
+        dxr = None if k == s == 1 else np.zeros_like(xr)
+        part = None
         for i, j in np.ndindex(k, k):
             window = _window(i, j, s, oh, ow)
-            dweight[..., i, j] += np.einsum(dw_subscripts, grad, xp[window])
-            part = np.einsum(dx_subscripts, grad, weight[..., i, j])
-            if dxp is None:
-                dxp = part
+            dweight[i, j] += self._tap_weight_grad(g_rows, xr[window])
+            part = self._tap_input_grad(weight[i, j], g_rows, out=part)
+            if dxr is None:
+                dxr = part
             else:
-                dxp[window] += part
+                dxr[window] += part
         self.db += grad.sum(axis=(0, 2, 3))
-        return dxp[:, :, p : p + h, p : p + w]
+        return _rows(dxr[:, p : p + h, :, p : p + w])
 
 
 class Conv2d(_Conv):
     kind = "conv2d"
-    _contract = ("nchw,oc->nohw", "nohw,nchw->oc", "nohw,oc->nchw")
 
     def __init__(self, c_in, c_out, kernel, stride=1, padding=0, rng: Prng | None = None):
         super().__init__(c_in, c_out, (c_out, c_in, kernel, kernel), kernel, stride, padding, rng)
@@ -209,36 +237,38 @@ class DepthwiseConv2d(_Conv):
     """K x K convolution applied per channel; mixes no channels."""
 
     kind = "depthwise_conv2d"
-    _contract = ("nchw,c->nchw", "nchw,nchw->c", "nchw,c->nchw")
 
     def __init__(self, channels, kernel, stride=1, padding=0, rng: Prng | None = None):
         super().__init__(channels, channels, (channels, kernel, kernel), kernel, stride, padding, rng)
+
+    def _tap_output(self, w_ij, rows, out=None):
+        return np.multiply(w_ij[:, None], rows, out=out)
+
+    def _tap_weight_grad(self, g_rows, rows):
+        return np.einsum("nhcw,nhcw->c", g_rows, rows)
+
+    def _tap_input_grad(self, w_ij, g_rows, out=None):
+        return np.multiply(w_ij[:, None], g_rows, out=out)
 
 
 class PointwiseConv2d(_Conv):
     """1 x 1 convolution; mixes only channels. Stores its weight as (c_out, c_in)."""
 
     kind = "pointwise_conv2d"
-    _contract = Conv2d._contract
 
     def __init__(self, c_in, c_out, rng: Prng | None = None):
         super().__init__(c_in, c_out, (c_out, c_in), 1, 1, 0, rng)
 
     def _taps(self, a):
-        return a[:, :, None, None]
+        return a[None, None]
 
 
 class ReLU(Layer):
     kind = "relu"
 
-    # distance of the last forward's inputs from the kink at zero; used by
-    # gradient-check harnesses to avoid finite-difference branch flips
-    last_min_abs_input: float = np.inf
-
     def forward(self, x, training=False, rng=None):
-        self.last_min_abs_input = float(np.abs(x).min()) if x.size else np.inf
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad):
         return grad * self._mask

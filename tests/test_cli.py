@@ -130,6 +130,22 @@ def test_synth_writes_counted_dataset(workspace):
     assert total == 16
 
 
+def test_synth_into_a_used_root_reports_only_its_own_files(tmp_path, capsys):
+    """A smaller synth over a root an earlier synth filled lists only the files it wrote."""
+    big = write_config(tmp_path / "big.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", synth_per_class=6)
+    small = write_config(tmp_path / "small.cfg", dataset_root=tmp_path / "dataset",
+                         output_dir=tmp_path / "out", synth_per_class=3)
+    assert run("synth", "--config", big) == 0
+    capsys.readouterr()
+    assert run("synth", "--config", small) == 0
+    assert "synth: wrote 12 images across 4 classes" in capsys.readouterr().out
+    record = (tmp_path / "out" / "runrecord_synth.txt").read_text().splitlines()
+    listed = [line.rsplit("  ", 1)[1] for line in record if line.startswith("artifact: ")]
+    assert len(listed) == 12
+    assert all(re.search(r"_00[0-2]\.pgm$", path) for path in listed)
+
+
 def test_preprocess_outputs_match_target_size(workspace):
     tmp_path, cfg = workspace
     run("synth", "--config", cfg)

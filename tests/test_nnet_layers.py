@@ -129,6 +129,53 @@ def test_conv_gradients_match_finite_differences(shape, stride, padding):
     assert finite_diff_input_check(conv, x) < 1e-4
 
 
+def reference_conv(x, w, b, stride, padding):
+    """Direct nested-sum cross-correlation with a dense (O, C, K, K) kernel."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    oh, ow = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, o, oh, ow))
+    for img, oc, y, xo in np.ndindex(n, o, oh, ow):
+        total = b[oc]
+        for ci, i, j in np.ndindex(c, k, k):
+            total += w[oc, ci, i, j] * xp[img, ci, y * stride + i, xo * stride + j]
+        out[img, oc, y, xo] = total
+    return out
+
+
+@pytest.mark.parametrize("kind,stride,padding", [
+    *[("conv2d", s, p) for s in (1, 2) for p in (0, 1)],
+    *[("depthwise", s, p) for s in (1, 2) for p in (0, 1)],
+    ("pointwise", 1, 0),
+])
+@pytest.mark.parametrize("strided_view", [False, True], ids=["contiguous", "view"])
+def test_conv_forward_matches_nested_sum_reference(kind, stride, padding, strided_view):
+    rng = Prng(21)
+    if kind == "conv2d":
+        layer = Conv2d(3, 4, kernel=3, stride=stride, padding=padding, rng=rng)
+        dense = layer.w
+    elif kind == "depthwise":
+        layer = DepthwiseConv2d(3, kernel=3, stride=stride, padding=padding, rng=rng)
+        dense = np.zeros((3, 3, 3, 3))
+        for ch in range(3):
+            dense[ch, ch] = layer.w[ch]
+    else:
+        layer = PointwiseConv2d(3, 4, rng=rng)
+        dense = layer.w[:, :, None, None]
+    layer.b[...] = tensor(rng, layer.b.size)
+    x = tensor(rng, 2, 3, 5, 7)
+    if strided_view:
+        # the same values, read through a permuted, stepped view of a larger buffer
+        buffer = np.zeros((2, 14, 10, 3))
+        buffer[:, ::2, ::2, :] = x.transpose(0, 3, 2, 1)
+        x = buffer[:, ::2, ::2, :].transpose(0, 3, 2, 1)
+        assert not x.flags.c_contiguous
+    expected = reference_conv(x, dense, layer.b, stride, padding)
+    assert np.abs(layer.forward(x) - expected).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # depthwise / pointwise
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
+import json
 import math
+import runpy
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +222,14 @@ def test_checkpoint_format_is_pinned(tmp_path):
     ):
         blob = file.read_bytes()
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)
+
+
+def test_step_split_tool_times_every_named_layer(capsys):
+    """tools/step_split.py (benchmark helper) runs and reports each layer's two passes."""
+    tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "step_split.py"))
+    assert tool["main"](["--size", "16", "--batch", "2", "--steps", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    net = build_deepbrainnet_mini(16, 4)
+    for name, _ in net.named_layers()[:-1]:  # all but head.softmax, which a step never runs
+        assert report[f"{name}.forward"] >= 0.0 and report[f"{name}.backward"] >= 0.0
+    assert report["step_s"] > 0.0

@@ -138,6 +138,16 @@ def test_non_finite_loss_aborts():
         train(net, train_set, val_set, small_config(epochs=10, learning_rate=1e30))
 
 
+def test_nan_conv_weight_is_a_non_finite_loss():
+    """ReLU passes NaN on, so a NaN weight cannot be masked into finite logits."""
+    train_set, val_set = build_and_split()
+    net = build_deepbrainnet_mini(16, 3, seed=9, dropout_rate=0.0, base_channels=4)
+    net.branch_a[2].conv1.w[0, 0, 1, 1] = np.nan
+    assert not np.isfinite(net.forward_logits(train_set[0][:2])).any()
+    with pytest.raises(NonFiniteLossError):
+        train(net, train_set, val_set, small_config(epochs=2))
+
+
 def test_empty_dataset_rejected():
     net = build_deepbrainnet_mini(16, 3, seed=10, base_channels=4)
     empty = (np.zeros((0, 3, 16, 16)), np.zeros(0, dtype=int))
