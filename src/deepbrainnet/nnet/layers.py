@@ -265,8 +265,11 @@ class PointwiseConv2d(_Conv):
 
 class ReLU(Layer):
     kind = "relu"
+    _margins = None  # a list while Network.relu_kink_margin records |input| minima
 
     def forward(self, x, training=False, rng=None):
+        if self._margins is not None and x.size:
+            self._margins.append(float(np.abs(x).min()))
         self._mask = x > 0
         return np.maximum(x, 0.0)
 

@@ -83,31 +83,18 @@ class Network(Layer):
 
         Finite-difference gradient checks flip a ReLU branch when a
         pre-activation lies within the probe step of zero; callers keep
-        their probes valid by requiring this margin to exceed the step. The
-        margins are recorded by wrapping each ReLU's forward for this one
-        pass only, so ordinary forwards do not pay for them.
+        their probes valid by requiring this margin to exceed the step. Each
+        ReLU records its margin only while this pass has handed it a list.
         """
         margins = [np.inf]
-
-        def recording(relu_forward):
-            def forward(z, *args, **kwargs):
-                if z.size:
-                    margins.append(float(np.abs(z).min()))
-                return relu_forward(z, *args, **kwargs)
-            return forward
-
         relus = [layer for layer in self.iter_layers() if isinstance(layer, ReLU)]
-        wrapped = [(relu, vars(relu).get("forward")) for relu in relus]
         for relu in relus:
-            relu.forward = recording(relu.forward)
+            relu._margins = margins
         try:
             self.forward_logits(x, training=False)
         finally:
-            for relu, previous in wrapped:
-                if previous is None:
-                    del relu.forward
-                else:
-                    relu.forward = previous
+            for relu in relus:
+                del relu._margins
         return min(margins)
 
     def get_weights(self) -> list[np.ndarray]:

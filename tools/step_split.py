@@ -1,14 +1,16 @@
-"""Per-layer forward/backward seconds of one training step at a chosen size and batch.
+"""Per-layer seconds of one full training step at a chosen size and batch.
 
     PYTHONPATH=src python3 tools/step_split.py --size 224 --batch 32 --steps 3
 
 Builds the seeded untrained network and runs a warm-up step plus `--steps`
-measured steps on seeded uniform inputs. It times the forward and backward of
-each `Network.named_layers()` entry that a step runs and prints the median
-seconds per step as one JSON object. `perfbench/layer_split.py` takes its
-figures from the paper workload's batch of 12 and scales them to batch 32;
-this measures the batch directly. Pin the BLAS thread count in the
-environment for comparable runs.
+measured steps on seeded uniform inputs. A step is what `train` does per
+batch: a forward pass with dropout on, the loss, the backward pass and the
+Adam update. The forward and backward of each `Network.named_layers()` entry
+and the Adam update are timed with the span tracer of `perfbench/tracing.py`,
+and the median seconds per step are printed as one JSON object.
+`perfbench/layer_split.py` takes its figures from the paper workload's batch
+of 12 and scales them to batch 32; this measures the batch directly. Pin the
+BLAS thread count in the environment for comparable runs.
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import time
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
-from deepbrainnet.nnet import build_deepbrainnet_mini, softmax_cross_entropy
+from deepbrainnet.nnet import Adam, TrainConfig, build_deepbrainnet_mini, softmax_cross_entropy
+from deepbrainnet.rng import Prng
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracing import Tracer, _instrument_network  # noqa: E402
 
-def timed(fn, seconds: list[float]):
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        seconds.append(time.perf_counter() - start)
-        return result
-    return wrapper
+SEED = 1
 
 
 def main(argv=None) -> int:
@@ -37,28 +38,32 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=224)
     parser.add_argument("--batch", type=int, default=32)
     parser.add_argument("--steps", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    network = build_deepbrainnet_mini(args.size, 4, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    x = rng.random((args.batch, 3, args.size, args.size))
+    tracer = Tracer()
+    network = _instrument_network(tracer, build_deepbrainnet_mini(args.size, 4, seed=SEED))
+    config = TrainConfig(seed=SEED)
+    optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
+    adam_step = tracer.traced(optimizer.step, "nnet.adam_step")
+    dropout_rng = Prng(SEED)
+    x = np.random.default_rng(SEED).random((args.batch, 3, args.size, args.size))
     labels = np.arange(args.batch) % 4
-    seconds: dict[str, list[float]] = {}
-    for name, layer in network.named_layers():
-        for direction in ("forward", "backward"):
-            seconds[f"{name}.{direction}"] = []
-            setattr(layer, direction, timed(getattr(layer, direction), seconds[f"{name}.{direction}"]))
-    steps = []
-    for _ in range(args.steps + 1):
-        start = time.perf_counter()
-        network.zero_grads()
-        _, grad, _ = softmax_cross_entropy(network.forward_logits(x), labels)
-        network.backward_from_logits(grad)
-        steps.append(time.perf_counter() - start)
+    for step in range(args.steps + 1):
+        tracer.run_id = str(step)
+        with tracer.span("step"):
+            logits = network.forward_logits(x, training=True, rng=dropout_rng)
+            _, grad, _ = softmax_cross_entropy(logits, labels)
+            network.zero_grads()
+            network.backward_from_logits(grad)
+            adam_step(network.gradients(), config.learning_rate)
+    # per measured step: seconds of each span name; the warm-up step "0" is left out
+    seconds: dict[str, list[float]] = defaultdict(lambda: [0.0] * args.steps)
+    for name, start, end, _, run_id in tracer.spans:
+        if run_id != "0":
+            seconds[name.removeprefix("nnet.")][int(run_id) - 1] += end - start
     report = {"size": args.size, "batch": args.batch, "steps": args.steps,
-              "step_s": statistics.median(steps[1:])}
+              "step_s": statistics.median(seconds.pop("step"))}
     # head.softmax never runs: the loss takes the logits
-    report.update({key: statistics.median(values[1:]) for key, values in seconds.items() if values})
+    report.update({name: statistics.median(values) for name, values in seconds.items()})
     print(json.dumps(report))
     return 0
 
