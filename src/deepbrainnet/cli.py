@@ -203,7 +203,7 @@ def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     for rel_path, class_index in manifest.entries:
         try:
             image = load_pgm(manifest.full_path(rel_path))
-            cropped, _ = auto_crop_margins(image, config.background_threshold)
+            cropped = auto_crop_margins(image, config.background_threshold)
             resized = resize_bilinear(cropped, config.image_size, config.image_size)
             enhanced = _enhance(config, resized)
             out_path = os.path.join(out_root, rel_path)
@@ -302,7 +302,7 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     history.save_csv(history_path)
     artifacts = [checkpoint_path, f"{checkpoint_path}.layers.csv", history_path]
     print(
-        f"train: {history.stopped_epoch} epochs (best {history.best_epoch}), "
+        f"train: {len(history)} epochs (best {history.best_epoch}), "
         f"final train_acc={history.train_acc[-1]:.3f} val_acc={history.val_acc[-1]:.3f}; "
         f"checkpoint at {checkpoint_path}"
     )
@@ -396,8 +396,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deepbrainnet",
         description="Desk-scale brain-MRI classification pipeline",
     )
@@ -419,7 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         config = parse_config(
             args.config,
@@ -436,9 +447,6 @@ def main(argv=None) -> int:
         durations = {"total": time.perf_counter() - started, **stage_seconds}
         _write_run_record(config, args.command, durations, artifacts)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -266,6 +266,9 @@ def scan_dataset(root_dir) -> DatasetManifest:
             raise DatasetError(f"class directory {name!r} contains no .pgm files")
         entries.extend((f"{name}/{f}", idx) for f in files)
     entries.sort(key=lambda e: e[0])
+    for rel_path, _ in entries:  # later stages write paths into CSVs unquoted
+        if any(ch in rel_path for ch in ",\n\r"):
+            raise DatasetError(f"dataset path {rel_path!r} contains a comma or line break")
     return DatasetManifest(root_dir, tuple(entries), tuple(class_names))
 
 
@@ -338,45 +341,36 @@ SYNTHETIC_CLASSES = ("blank", "blob", "ring", "stripe")
 
 
 def _texture(class_name: str, size: int, rng: Prng) -> GrayImage:
-    pixels = np.zeros((size, size), dtype=np.uint8)
+    """One noisy image: pixels in the class's bright region draw lo + below(span),
+    the others below(background). The geometry is drawn first, then every
+    pixel in row-major order."""
+    ys, xs = np.mgrid[0:size, 0:size]
     if class_name == "blank":
-        for y in range(size):
-            for x in range(size):
-                pixels[y, x] = rng.below(61)
-        return GrayImage(size, size, pixels)
-
-    if class_name == "stripe":
+        inside, lo, span, background = np.zeros((size, size), dtype=bool), 0, 1, 61
+    elif class_name == "stripe":
         period = max(4, size // 8)
         phase = rng.below(period)
-        for y in range(size):
-            for x in range(size):
-                if (x + phase) % period < period // 2:
-                    pixels[y, x] = 200 + rng.below(56)
-                else:
-                    pixels[y, x] = rng.below(31)
-        return GrayImage(size, size, pixels)
-
-    # blob and ring share a center/radius jitter scheme
-    jitter = size // 8
-    cx = size / 2 + rng.below(2 * jitter + 1) - jitter
-    cy = size / 2 + rng.below(2 * jitter + 1) - jitter
-    if class_name == "blob":
-        radius = size / 4 + rng.below(size // 8 + 1) - size // 16
-        r2_outer, r2_inner = radius * radius, -1.0
-        lo, span = 170, 71
-    else:  # ring
-        outer = size / 3 + rng.below(size // 8 + 1) - size // 16
-        inner = 0.55 * outer
-        r2_outer, r2_inner = outer * outer, inner * inner
-        lo, span = 120, 61
-    for y in range(size):
-        for x in range(size):
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            if r2_inner < d2 <= r2_outer:
-                pixels[y, x] = lo + rng.below(span)
-            else:
-                pixels[y, x] = rng.below(31)
-    return GrayImage(size, size, pixels)
+        inside = (xs + phase) % period < period // 2
+        lo, span, background = 200, 56, 31
+    else:  # blob and ring share a center/radius jitter scheme
+        jitter = size // 8
+        cx = size / 2 + rng.below(2 * jitter + 1) - jitter
+        cy = size / 2 + rng.below(2 * jitter + 1) - jitter
+        if class_name == "blob":
+            radius = size / 4 + rng.below(size // 8 + 1) - size // 16
+            r2_outer, r2_inner = radius * radius, -1.0
+            lo, span = 170, 71
+        else:  # ring
+            outer = size / 3 + rng.below(size // 8 + 1) - size // 16
+            inner = 0.55 * outer
+            r2_outer, r2_inner = outer * outer, inner * inner
+            lo, span = 120, 61
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+        inside = (r2_inner < d2) & (d2 <= r2_outer)
+        background = 31
+    bounds = np.where(inside, span, background).ravel().tolist()
+    draws = np.array([rng.below(n) for n in bounds]).reshape(size, size)
+    return GrayImage(size, size, np.where(inside, lo, 0) + draws)
 
 
 def generate_synthetic_dataset(

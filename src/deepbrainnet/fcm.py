@@ -17,7 +17,7 @@ is assigned crisp membership split equally among the coincident centroids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class FcmResult:
     iterations_run: int
     final_shift: float
     converged: bool
-    fuzzifier_trace: list[float] = field(default_factory=list)
 
 
 def _as_points(points) -> np.ndarray:
@@ -161,7 +160,6 @@ def fcm_cluster(
                 f"initial centroids must be {config.c}x{x.shape[1]}, got {centroids.shape}"
             )
 
-    trace: list[float] = []
     memberships = None
     shift = np.inf
     converged = False
@@ -169,7 +167,6 @@ def fcm_cluster(
     t_max = config.max_iter
     for t in range(1, t_max + 1):
         m = config.m_initial + t * (config.m_final - config.m_initial) / t_max
-        trace.append(m)
         memberships = compute_memberships(x, centroids, m)
         new_centroids = update_centroids(x, memberships, m)
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).sum())
@@ -180,7 +177,7 @@ def fcm_cluster(
         if shift <= config.epsilon:
             converged = True
             break
-    return FcmResult(memberships, centroids, iterations, shift, converged, trace)
+    return FcmResult(memberships, centroids, iterations, shift, converged)
 
 
 def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResult]:
@@ -207,16 +204,6 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """One row per line, comma separated, 17 significant digits."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     write_atomic(path, "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr))
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.array(rows, dtype=np.float64)
 
 
 def format_run_summary(result: FcmResult) -> str:

@@ -33,31 +33,6 @@ def _round_u8(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CropRegion:
-    x_start: int
-    y_start: int
-    x_end: int
-    y_end: int
-
-    def __post_init__(self):
-        if self.x_start < 0 or self.y_start < 0:
-            raise ValueError("crop region start must be non-negative")
-        if self.x_start >= self.x_end or self.y_start >= self.y_end:
-            raise ValueError(
-                f"crop region must have positive extent, got "
-                f"x [{self.x_start}, {self.x_end}), y [{self.y_start}, {self.y_end})"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.x_end - self.x_start
-
-    @property
-    def height(self) -> int:
-        return self.y_end - self.y_start
-
-
-@dataclass(frozen=True)
 class AugmentParams:
     """Ranges for one random augmentation draw. Zero / False disables a category."""
 
@@ -118,27 +93,6 @@ class CannyParams:
             raise ValueError("thresholds must satisfy 0 <= low < high")
 
 
-class EdgeMap:
-    """Binary mask, uint8 array of shape (height, width) with values in {0, 1}."""
-
-    __slots__ = ("width", "height", "data")
-
-    def __init__(self, width: int, height: int, data):
-        arr = np.asarray(data, dtype=np.uint8)
-        if arr.size != width * height:
-            raise ValueError("data length does not match dimensions")
-        if arr.size and arr.max() > 1:
-            raise ValueError("edge map values must be 0 or 1")
-        arr = arr.reshape(height, width).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeMap is immutable")
-
-
 # ---------------------------------------------------------------------------
 # Geometry
 # ---------------------------------------------------------------------------
@@ -164,18 +118,7 @@ def resize_bilinear(image: GrayImage, new_w: int, new_h: int) -> GrayImage:
     return GrayImage(new_w, new_h, _round_u8((1 - fy) * top + fy * bottom))
 
 
-def crop(image: GrayImage, region: CropRegion) -> GrayImage:
-    if region.x_end > image.width or region.y_end > image.height:
-        raise ValueError(
-            f"crop region {region} exceeds image bounds {image.width}x{image.height}"
-        )
-    sub = image.data[region.y_start : region.y_end, region.x_start : region.x_end]
-    return GrayImage(region.width, region.height, sub)
-
-
-def auto_crop_margins(
-    image: GrayImage, background_threshold: int
-) -> tuple[GrayImage, CropRegion]:
+def auto_crop_margins(image: GrayImage, background_threshold: int) -> GrayImage:
     """Crop to the tight bounding box of pixels brighter than the threshold."""
     mask = image.data > background_threshold
     if not mask.any():
@@ -183,8 +126,8 @@ def auto_crop_margins(
             f"no pixel exceeds background threshold {background_threshold}; cannot crop"
         )
     ys, xs = np.nonzero(mask)
-    region = CropRegion(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
-    return crop(image, region), region
+    sub = image.data[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    return GrayImage(sub.shape[1], sub.shape[0], sub)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +264,8 @@ def _shifted(values: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def canny(image: GrayImage, params: CannyParams) -> EdgeMap:
-    """Classic edge-detection pipeline producing a binary edge map.
+def canny(image: GrayImage, params: CannyParams) -> GrayImage:
+    """Classic edge-detection pipeline producing a binary edge map: pixels 0 or 1.
 
     Stages: Gaussian smoothing, Sobel gradients (magnitude divided by 4 so a
     full-contrast step lands near the top of the 8-bit threshold scale),
@@ -378,7 +321,7 @@ def canny(image: GrayImage, params: CannyParams) -> EdgeMap:
                 if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not edges[ny, nx]:
                     edges[ny, nx] = True
                     queue.append((ny, nx))
-    return EdgeMap(image.width, image.height, edges.astype(np.uint8))
+    return GrayImage(image.width, image.height, edges)
 
 
 # ---------------------------------------------------------------------------

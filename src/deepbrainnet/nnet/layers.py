@@ -401,18 +401,3 @@ class ResidualBlock(Layer):
         grad_sum = self.relu2.backward(grad)
         grad_branch = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
         return grad_branch + grad_sum
-
-
-def compose_separable_kernel(block_or_pair) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (c_out, c_in, K, K) kernel and bias equivalent to depthwise+pointwise.
-
-    w_dense[o, c, i, j] = w_point[o, c] * w_depth[c, i, j];
-    b_dense[o] = b_point[o] + sum_c w_point[o, c] * b_depth[c].
-    """
-    if isinstance(block_or_pair, DsBlock):
-        depthwise, pointwise = block_or_pair.depthwise, block_or_pair.pointwise
-    else:
-        depthwise, pointwise = block_or_pair
-    w = np.einsum("oc,ckl->ockl", pointwise.w, depthwise.w)
-    b = pointwise.b + pointwise.w @ depthwise.b
-    return w, b

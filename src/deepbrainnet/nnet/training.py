@@ -61,7 +61,6 @@ class TrainingHistory:
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
-    stopped_epoch: int = 0
     best_epoch: int = 0
 
     def __len__(self):
@@ -187,7 +186,6 @@ def train(
         history.val_loss.append(val_loss)
         history.val_acc.append(val_acc)
         history.lr.append(lr)
-        history.stopped_epoch = epoch
 
         if val_loss < best_val:
             best_val = val_loss

@@ -11,7 +11,6 @@ import pytest
 from deepbrainnet import cli
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
-from deepbrainnet.fcm import load_matrix_csv
 from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
 from deepbrainnet.rng import Prng
 
@@ -172,7 +171,7 @@ def test_preprocess_empty_enhancement_is_crop_resize_only(tmp_path):
     assert run("preprocess", "--config", cfg) == 0
     rel = "blob/blob_000.pgm"
     source = load_pgm(tmp_path / "dataset" / rel)
-    cropped, _ = auto_crop_margins(source, 10)
+    cropped = auto_crop_margins(source, 10)
     expected = resize_bilinear(cropped, 32, 32)
     assert load_pgm(tmp_path / "out" / "preprocessed" / rel) == expected
 
@@ -229,6 +228,41 @@ def test_preprocess_that_empties_a_class_is_data_error(tmp_path, capsys):
 def test_missing_dataset_is_data_error(workspace):
     _, cfg = workspace
     assert run("preprocess", "--config", cfg) == 2
+
+
+def test_comma_in_dataset_path_is_data_error(workspace, capsys):
+    # the manifest and result CSVs hold paths unquoted, so preprocess refuses them
+    tmp_path, cfg = workspace
+    run("synth", "--config", cfg)
+    blob = tmp_path / "dataset" / "blob"
+    os.rename(blob / "blob_000.pgm", blob / "blob,000.pgm")
+    capsys.readouterr()
+    assert run("preprocess", "--config", cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "data error: dataset path 'blob/blob,000.pgm' contains a comma or line break\n"
+    )
+    assert not (tmp_path / "out" / "preprocessed").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "abc"],
+    ["train", "--no-such-flag"],
+    [],
+], ids=["bad-flag-value", "unknown-flag", "missing-command"])
+def test_usage_error_is_one_line_exit_1(capsys, argv):
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--help")
+    assert exc.value.code == 0
+    assert "--epochs" in capsys.readouterr().out
 
 
 # (command, key, bad value, name the message must contain); every case is
@@ -319,7 +353,7 @@ def test_fcm_masks_bilevel_image(tmp_path):
     out_root = tmp_path / "out" / "fcm"
     labels = load_pgm(out_root / "lit" / "lit_0_labels.pgm")
     source = load_pgm(tmp_path / "out" / "preprocessed" / "lit" / "lit_0.pgm")
-    centroids = load_matrix_csv(out_root / "lit" / "lit_0_V.csv").ravel()
+    centroids = np.loadtxt(out_root / "lit" / "lit_0_V.csv", delimiter=",", ndmin=2).ravel()
     km = kmeans_partition(source.data.ravel().astype(float).tolist(), sorted(centroids))
     mine = labels.data.ravel()
     # same partition up to label swap

@@ -25,7 +25,7 @@ from deepbrainnet.dataio import (
     split_manifest,
     write_atomic,
 )
-from deepbrainnet.rng import Prng
+from deepbrainnet.rng import Prng, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,43 @@ def test_write_atomic_is_the_only_file_writer():
     assert writers == {"dataio.write_atomic"}
 
 
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in the tree."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    # callers: the package itself (outside __init__ re-exports and the definition's
+    # own body), the benchmark harness, the tools and the acceptance suite
+    repo = Path(__file__).resolve().parents[1]
+    package = Path(deepbrainnet.__file__).parent
+    defined, used = set(), set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined.add(node.name)
+            used |= names
+    callers = [*(repo / "perfbench").rglob("*.py"), *(repo / "tools").rglob("*.py"),
+               repo / "tests" / "test_acceptance.py"]
+    for path in callers:
+        used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(defined - used)
+    assert not unused, f"public names that only tests use: {unused}"
+
+
 def test_gray_image_validates_bounds():
     with pytest.raises(ValueError):
         GrayImage(2, 2, [0, 1, 2])
@@ -342,9 +379,46 @@ def test_synthetic_is_bit_deterministic(tmp_path):
     m1 = generate_synthetic_dataset(tmp_path / "one", 3, 32, seed=9)
     m2 = generate_synthetic_dataset(tmp_path / "two", 3, 32, seed=9)
     for (p1, _), (p2, _) in zip(m1.entries, m2.entries):
-        b1 = open(m1.full_path(p1), "rb").read()
-        b2 = open(m2.full_path(p2), "rb").read()
-        assert b1 == b2
+        assert Path(m1.full_path(p1)).read_bytes() == Path(m2.full_path(p2)).read_bytes()
+
+
+def reference_texture(class_name, size, rng):
+    """Per-pixel loop form of dataio._texture: geometry first, then row-major draws."""
+    pixels = np.zeros((size, size), dtype=np.uint8)
+    if class_name == "blank":
+        inside = lambda x, y: False  # noqa: E731
+        lo = span = 0
+        background = 61
+    elif class_name == "stripe":
+        period = max(4, size // 8)
+        phase = rng.below(period)
+        inside = lambda x, y: (x + phase) % period < period // 2  # noqa: E731
+        lo, span, background = 200, 56, 31
+    else:
+        jitter = size // 8
+        cx = size / 2 + rng.below(2 * jitter + 1) - jitter
+        cy = size / 2 + rng.below(2 * jitter + 1) - jitter
+        if class_name == "blob":
+            radius = size / 4 + rng.below(size // 8 + 1) - size // 16
+            r2_outer, r2_inner, lo, span = radius * radius, -1.0, 170, 71
+        else:
+            outer = size / 3 + rng.below(size // 8 + 1) - size // 16
+            r2_outer, r2_inner, lo, span = outer * outer, (0.55 * outer) ** 2, 120, 61
+        inside = lambda x, y: r2_inner < (x - cx) ** 2 + (y - cy) ** 2 <= r2_outer  # noqa: E731
+        background = 31
+    for y in range(size):
+        for x in range(size):
+            pixels[y, x] = lo + rng.below(span) if inside(x, y) else rng.below(background)
+    return pixels
+
+
+@pytest.mark.parametrize("size", [16, 37, 64])
+def test_synthetic_texture_matches_pixel_loop(size):
+    for class_idx, name in enumerate(dataio.SYNTHETIC_CLASSES):
+        for i in range(3):
+            seed = derive_seed(4, class_idx, i, size)
+            image = dataio._texture(name, size, Prng(seed))
+            assert np.array_equal(image.data, reference_texture(name, size, Prng(seed)))
 
 
 def test_synthetic_validates_args(tmp_path):

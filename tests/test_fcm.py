@@ -8,7 +8,6 @@ from deepbrainnet.fcm import (
     fcm_cluster,
     fcm_segment,
     format_run_summary,
-    load_matrix_csv,
     pick_initial_centroids,
     save_matrix_csv,
     update_centroids,
@@ -225,13 +224,20 @@ def test_fixed_fuzzifier_matches_classical_per_iteration():
             assert np.abs(v1 - v2).max() < 1e-9
 
 
+def fuzzifier_trace(pts, config):
+    """(result, [m of each iteration]) as fcm_cluster reports them to on_iteration."""
+    trace = []
+    result = fcm_cluster(pts, config, on_iteration=lambda t, m, u, v: trace.append(m))
+    return result, trace
+
+
 def test_single_iteration_trace():
     rng = Prng(74)
     pts = random_points(rng, 10, 2)
     config = FcmConfig(c=2, m_initial=3.0, m_final=1.5, epsilon=1e-12, max_iter=1, seed=1)
-    result = fcm_cluster(pts, config)
+    result, trace = fuzzifier_trace(pts, config)
     assert result.iterations_run == 1
-    assert result.fuzzifier_trace == [pytest.approx(3.0 + (1.5 - 3.0) / 1)]
+    assert trace == [pytest.approx(3.0 + (1.5 - 3.0) / 1)]
 
 
 def test_fuzzifier_trace_is_affine():
@@ -239,10 +245,11 @@ def test_fuzzifier_trace_is_affine():
     pts = random_points(rng, 12, 1)
     t_max = 10
     config = FcmConfig(c=2, m_initial=2.5, m_final=1.5, epsilon=1e-30, max_iter=t_max, seed=2)
-    result = fcm_cluster(pts, config)
-    for t, m in enumerate(result.fuzzifier_trace, start=1):
+    result, trace = fuzzifier_trace(pts, config)
+    assert len(trace) == result.iterations_run
+    for t, m in enumerate(trace, start=1):
         assert m == pytest.approx(2.5 + t * (1.5 - 2.5) / t_max)
-    assert result.fuzzifier_trace[-1] == pytest.approx(1.5)
+    assert trace[-1] == pytest.approx(1.5)
 
 
 def test_permutation_equivariance():
@@ -352,14 +359,15 @@ def test_matrix_csv_round_trip(tmp_path):
     matrix = random_points(rng, 5, 3)
     path = tmp_path / "u.csv"
     save_matrix_csv(matrix, path)
-    loaded = load_matrix_csv(path)
+    rows = path.read_text(encoding="utf-8").splitlines()
+    loaded = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(loaded, matrix)  # 17 significant digits is lossless
 
 
 def test_run_summary_format():
     from deepbrainnet.fcm import FcmResult
 
-    result = FcmResult(np.ones((1, 1)), np.zeros((1, 1)), 17, 3.25e-07, True, [2.0])
+    result = FcmResult(np.ones((1, 1)), np.zeros((1, 1)), 17, 3.25e-07, True)
     assert format_run_summary(result) == f"17,{3.25e-07:.17g},true"
     assert format_run_summary(result).endswith(",true")
     assert float(format_run_summary(result).split(",")[1]) == 3.25e-07

@@ -9,14 +9,12 @@ from deepbrainnet.imaging import (
     AugmentParams,
     CannyParams,
     ClaheParams,
-    CropRegion,
     apply_augmentation,
     augment,
     auto_crop_margins,
     box_blur,
     canny,
     clahe,
-    crop,
     draw_augmentation,
     equalize_histogram,
     resize_bilinear,
@@ -67,39 +65,16 @@ def test_resize_zero_dimension_rejected():
 
 
 # ---------------------------------------------------------------------------
-# crop
+# auto crop
 # ---------------------------------------------------------------------------
-
-
-def test_crop_full_region_is_identity():
-    rng = Prng(3)
-    image = random_image(rng, 6, 4)
-    assert crop(image, CropRegion(0, 0, 6, 4)) == image
-
-
-def test_crop_central_block():
-    image = GrayImage(4, 4, list(range(16)))
-    out = crop(image, CropRegion(1, 1, 3, 3))
-    assert out.data.tolist() == [[5, 6], [9, 10]]
-
-
-def test_crop_degenerate_region_rejected():
-    with pytest.raises(ValueError):
-        CropRegion(2, 0, 2, 3)
-
-
-def test_crop_out_of_bounds_rejected():
-    with pytest.raises(ValueError):
-        crop(GrayImage(4, 4, [0] * 16), CropRegion(0, 0, 5, 4))
 
 
 def test_auto_crop_finds_bright_block():
     data = np.zeros((8, 8), dtype=np.uint8)
-    data[3:5, 3:5] = 200
-    cropped, region = auto_crop_margins(GrayImage(8, 8, data), 10)
-    assert (region.x_start, region.y_start, region.x_end, region.y_end) == (3, 3, 5, 5)
-    assert (cropped.width, cropped.height) == (2, 2)
-    assert cropped.data.min() == 200
+    data[3:5, 2:5] = [[200, 201, 202], [203, 204, 205]]
+    data[1, 0] = 5  # at or below the threshold: background, outside the box
+    cropped = auto_crop_margins(GrayImage(8, 8, data), 10)
+    assert cropped.data.tolist() == [[200, 201, 202], [203, 204, 205]]
 
 
 def test_auto_crop_all_background_rejected():
@@ -112,11 +87,9 @@ def test_auto_crop_is_idempotent():
     data = np.zeros((10, 12), dtype=np.uint8)
     data[2:7, 4:9] = 60 + rng.below(100)
     image = GrayImage(12, 10, data)
-    cropped, _ = auto_crop_margins(image, 10)
-    again, region = auto_crop_margins(cropped, 10)
-    assert (region.x_start, region.y_start) == (0, 0)
-    assert (region.x_end, region.y_end) == (cropped.width, cropped.height)
-    assert again == cropped
+    cropped = auto_crop_margins(image, 10)
+    assert (cropped.width, cropped.height) == (5, 5)
+    assert auto_crop_margins(cropped, 10) == cropped
 
 
 # ---------------------------------------------------------------------------

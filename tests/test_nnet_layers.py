@@ -13,7 +13,6 @@ from deepbrainnet.nnet import (
     ReLU,
     ResidualBlock,
     Softmax,
-    compose_separable_kernel,
     param_count,
 )
 from deepbrainnet.rng import Prng
@@ -207,10 +206,10 @@ def test_separable_pair_composes_to_dense_conv():
     rng = Prng(13)
     dw = DepthwiseConv2d(4, kernel=3, padding=1, rng=rng)
     pw = PointwiseConv2d(4, 6, rng=rng)
-    w, b = compose_separable_kernel((dw, pw))
     dense = Conv2d(4, 6, kernel=3, padding=1, rng=rng)
-    dense.w[...] = w
-    dense.b[...] = b
+    # w_dense[o, c, i, j] = w_point[o, c] * w_depth[c, i, j], the DsBlock docstring's kernel
+    dense.w[...] = np.einsum("oc,ckl->ockl", pw.w, dw.w)
+    dense.b[...] = pw.b + pw.w @ dw.b
     x = tensor(rng, 2, 4, 7, 7)
     separable = pw.forward(dw.forward(x))
     assert np.abs(separable - dense.forward(x)).max() < 1e-9

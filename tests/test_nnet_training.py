@@ -51,7 +51,7 @@ def test_training_learns_toy_bands():
     net = build_deepbrainnet_mini(16, 3, seed=1, dropout_rate=0.0, base_channels=4)
     history = train(net, train_set, val_set, small_config())
     assert max(history.train_acc) >= 0.95
-    assert history.stopped_epoch == len(history.train_loss)
+    assert len(history) == len(history.val_loss) == len(history.lr)
 
 
 def test_identical_seed_identical_history():
@@ -92,7 +92,7 @@ def test_early_stopping_halts_before_epoch_budget():
     # learning rate 0 never improves, so training stops after the patience runs out
     config = small_config(epochs=30, learning_rate=0.0, early_stop_patience=3)
     history = train(net, train_set, val_set, config)
-    assert history.stopped_epoch == 1 + 3  # first epoch sets the best, then 3 stale
+    assert len(history) == 1 + 3  # first epoch sets the best, then 3 stale
 
 
 def test_loss_windows_mostly_non_increasing():
