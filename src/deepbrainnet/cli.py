@@ -236,6 +236,7 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     fcm_seed = stage_seed(config.seed, "fcm")
     artifacts = []
     summaries = []
+    iterations, converged, level_counts = [], 0, []
     for index, (rel_path, _) in enumerate(manifest.entries):
         try:
             image = load_pgm(manifest.full_path(rel_path))
@@ -250,7 +251,8 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
         save_pgm(label_map, labels_path)
         memberships_path = os.path.join(out_root, f"{stem}_U.csv")
         centroids_path = os.path.join(out_root, f"{stem}_V.csv")
-        save_matrix_csv(result.memberships, memberships_path)
+        levels = np.unique(image.data)  # the rows of result.memberships, ascending
+        save_matrix_csv(np.column_stack([levels, result.memberships]), memberships_path)
         save_matrix_csv(result.centroids, centroids_path)
         artifacts.extend([labels_path, memberships_path, centroids_path])
         if config.fcm_mask_enabled:
@@ -260,10 +262,18 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
             save_pgm(GrayImage(label_map.width, label_map.height, mask), mask_path)
             artifacts.append(mask_path)
         summaries.append(f"{rel_path},{format_run_summary(result)}")
+        iterations.append(result.iterations_run)
+        converged += result.converged
+        level_counts.append(levels.size)
     summary_path = os.path.join(out_root, "summaries.csv")
     write_atomic(summary_path, "\n".join(["path,iterations,final_shift,converged", *summaries]) + "\n")
     artifacts.append(summary_path)
-    print(f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}")
+    line = f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}"
+    if iterations:  # a hand-written manifest may list no image
+        line += (f"; converged {converged}/{len(manifest)}, iterations median "
+                 f"{np.median(iterations):g} max {max(iterations)}, "
+                 f"gray levels median {np.median(level_counts):g}")
+    print(line)
     return artifacts, {}
 
 

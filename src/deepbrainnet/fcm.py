@@ -13,6 +13,13 @@ the classical fuzzy-c-means form 1 / sum_k (d_ij/d_ik)^(2/(m-1)). Distances
 are divided by the row minimum before exponentiation, which leaves the ratios
 unchanged but avoids overflow. A point coinciding with one or more centroids
 is assigned crisp membership split equally among the coincident centroids.
+
+Points may carry non-negative weights, which multiply u^m in the centroid
+update; a weighted point counts as that many copies of itself. `fcm_segment`
+uses this to cluster the image's gray-level histogram (each distinct level
+weighted by its pixel count, as in EnFCM) instead of every pixel: the fixed
+point is the same, at most 256 points instead of width * height. The initial
+centroids are still drawn from the pixels, so seeding is unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class FcmConfig:
 
 @dataclass
 class FcmResult:
-    memberships: np.ndarray  # (n, c), rows sum to 1
+    memberships: np.ndarray  # (n, c), rows sum to 1; from fcm_segment, one row per gray level
     centroids: np.ndarray  # (c, d)
     iterations_run: int
     final_shift: float
@@ -87,7 +94,6 @@ def compute_memberships(points, centroids, m: float) -> np.ndarray:
     has_zero = zero_mask.any(axis=1)
     if has_zero.any():
         rows = np.nonzero(has_zero)[0]
-        u[rows] = 0.0
         counts = zero_mask[rows].sum(axis=1)
         u[rows] = zero_mask[rows] / counts[:, None]
     regular = ~has_zero
@@ -101,15 +107,17 @@ def compute_memberships(points, centroids, m: float) -> np.ndarray:
     return u
 
 
-def update_centroids(points, memberships, m: float) -> np.ndarray:
-    """Centroids as u^m-weighted means of the points."""
+def update_centroids(points, memberships, m: float, weights=None) -> np.ndarray:
+    """Centroids as u^m-weighted means of the points, u^m times `weights` if given."""
     x = _as_points(points)
     u = np.asarray(memberships, dtype=np.float64)
     um = u**m
+    if weights is not None:
+        um *= np.asarray(weights, dtype=np.float64)[:, None]
     mass = um.sum(axis=0)
-    for j, w in enumerate(mass):
-        if w == 0.0:
-            raise ValueError(f"cluster {j} has zero total membership mass")
+    empty = np.flatnonzero(mass == 0.0)
+    if empty.size:
+        raise ValueError(f"cluster {empty[0]} has zero total membership mass")
     return (um.T @ x) / mass[:, None]
 
 
@@ -140,17 +148,25 @@ def fcm_cluster(
     config: FcmConfig,
     initial_centroids=None,
     on_iteration=None,
+    weights=None,
 ) -> FcmResult:
     """Run the scheduled-fuzzifier c-means loop.
 
     Per iteration t = 1..max_iter: set m(t), compute memberships against the
     previous centroids, update centroids, then stop if the summed Euclidean
     centroid displacement is <= epsilon. `on_iteration(t, m, memberships,
-    centroids)` is invoked after each update, for tracing.
+    centroids)` is invoked after each update, for tracing. `weights`, one
+    finite value >= 0 per point, multiply each point's u^m in the update.
     """
     x = _as_points(points)
     if x.shape[0] < config.c:
         raise ValueError(f"need at least c={config.c} points, got {x.shape[0]}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (x.shape[0],):
+            raise ValueError(f"weights must have shape ({x.shape[0]},), got {weights.shape}")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValueError("weights must be finite and >= 0")
     if initial_centroids is None:
         centroids = pick_initial_centroids(x, config.c, config.seed)
     else:
@@ -168,7 +184,7 @@ def fcm_cluster(
     for t in range(1, t_max + 1):
         m = config.m_initial + t * (config.m_final - config.m_initial) / t_max
         memberships = compute_memberships(x, centroids, m)
-        new_centroids = update_centroids(x, memberships, m)
+        new_centroids = update_centroids(x, memberships, m, weights)
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).sum())
         centroids = new_centroids
         iterations = t
@@ -183,14 +199,20 @@ def fcm_cluster(
 def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResult]:
     """Cluster pixel intensities and return the per-pixel label map.
 
-    Labels are membership argmax with ties broken toward the lower cluster
-    index. Also returns the clustering result for export.
+    Clusters the distinct gray levels, each weighted by its pixel count, from
+    centroids drawn from the pixels. The result's memberships have one row
+    per distinct level, in ascending order. Labels are membership argmax with
+    ties broken toward the lower cluster index.
     """
     if config.c > 256:
         raise ValueError("label maps are 8-bit; cluster count must be <= 256")
-    intensities = image.data.ravel().astype(np.float64)[:, None]
-    result = fcm_cluster(intensities, config)
-    labels = np.argmax(result.memberships, axis=1).astype(np.uint8)
+    pixels = image.data.ravel().astype(np.float64)
+    levels, inverse, counts = np.unique(pixels, return_inverse=True, return_counts=True)
+    if levels.size < config.c:
+        raise ValueError(f"image has {levels.size} distinct gray levels, fewer than c={config.c}")
+    initial = pick_initial_centroids(pixels, config.c, config.seed)
+    result = fcm_cluster(levels, config, initial_centroids=initial, weights=counts)
+    labels = np.argmax(result.memberships, axis=1).astype(np.uint8)[inverse]
     label_map = GrayImage(image.width, image.height, labels.reshape(image.height, image.width))
     return label_map, result
 

@@ -383,14 +383,69 @@ def test_fcm_uniform_mask_for_single_cluster(tmp_path):
         assert set(np.unique(load_pgm(path).data)) == {0}
 
 
-def test_fcm_summary_has_one_line_per_image(workspace):
+def test_fcm_summary_has_one_line_per_image(workspace, capsys):
     tmp_path, cfg = workspace
     run("synth", "--config", cfg)
     run("preprocess", "--config", cfg)
+    capsys.readouterr()
     assert run("fcm", "--config", cfg) == 0
     lines = (tmp_path / "out" / "fcm" / "summaries.csv").read_text().strip().splitlines()
     assert lines[0] == "path,iterations,final_shift,converged"
     assert len(lines) - 1 == 16
+    # the stdout line reports the same convergence the summaries record
+    rows = [line.split(",") for line in lines[1:]]
+    iterations = [int(row[1]) for row in rows]
+    converged = sum(row[3] == "true" for row in rows)
+    preprocessed = tmp_path / "out" / "preprocessed"
+    levels = [np.unique(load_pgm(preprocessed / row[0]).data).size for row in rows]
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        f"fcm: segmented 16 images with c=2 under {tmp_path / 'out' / 'fcm'}; "
+        f"converged {converged}/16, iterations median {np.median(iterations):g} "
+        f"max {max(iterations)}, gray levels median {np.median(levels):g}"
+    ]
+
+
+def test_fcm_membership_table_has_one_row_per_gray_level(workspace):
+    tmp_path, cfg = workspace
+    run("synth", "--config", cfg)
+    run("preprocess", "--config", cfg)
+    assert run("fcm", "--config", cfg) == 0
+    preprocessed = tmp_path / "out" / "preprocessed"
+    tables = sorted((tmp_path / "out" / "fcm").rglob("*_U.csv"))
+    assert len(tables) == 16
+    for path in tables:
+        rel_stem = path.relative_to(tmp_path / "out" / "fcm").as_posix()[: -len("_U.csv")]
+        image = load_pgm(preprocessed / f"{rel_stem}.pgm")
+        labels = load_pgm(tmp_path / "out" / "fcm" / f"{rel_stem}_labels.pgm")
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        levels, inverse = np.unique(image.data.ravel(), return_inverse=True)
+        assert np.array_equal(table[:, 0], levels)
+        assert table.shape[1] == 2 + 1  # level, then c = 2 memberships
+        memberships = table[:, 1:]
+        assert np.abs(memberships.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.array_equal(np.argmax(memberships, axis=1)[inverse], labels.data.ravel())
+
+
+def test_fcm_fewer_gray_levels_than_clusters_is_data_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "run.cfg",
+        dataset_root=tmp_path / "dataset",
+        output_dir=tmp_path / "out",
+        fcm_clusters=3,
+    )
+    preprocessed = tmp_path / "out" / "preprocessed"
+    data = np.where(np.arange(224 * 224) % 3 == 0, 30, 200).astype(np.uint8)
+    for class_name in ("flat", "plain"):
+        os.makedirs(preprocessed / class_name)
+        save_pgm(GrayImage(224, 224, data.reshape(224, 224)),
+                 preprocessed / class_name / "two_level.pgm")
+    manifest_to_csv(scan_dataset(preprocessed), preprocessed / "manifest.csv")
+    assert run("fcm", "--config", cfg) == 2
+    assert capsys.readouterr().err == (
+        "data error: fcm failed on flat/two_level.pgm: "
+        "image has 2 distinct gray levels, fewer than c=3\n"
+    )
 
 
 # ---------------------------------------------------------------------------

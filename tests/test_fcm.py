@@ -335,6 +335,77 @@ def test_segment_bilevel_matches_kmeans_partition():
     assert set(np.unique(mine[values == 0])) != set(np.unique(mine[values == 255]))
 
 
+def repeated_values(rng, n, distinct):
+    """n draws from `distinct` spread-out values, so most of them repeat."""
+    return np.array([3.0 * rng.below(distinct) + rng.below(2) * 0.25 for _ in range(n)])
+
+
+def test_weighted_levels_match_pixels_per_iteration():
+    rng = Prng(83)
+    for case in range(8):
+        pixels = repeated_values(rng, 200 + rng.below(200), 5 + rng.below(30))
+        levels, inverse, counts = np.unique(pixels, return_inverse=True, return_counts=True)
+        c = 2 + rng.below(3)
+        config = FcmConfig(c=c, m_initial=2.5, m_final=1.5 + rng.uniform_in(0.0, 1.0),
+                           epsilon=1e-7, max_iter=60, seed=case)
+        initial = pick_initial_centroids(pixels, c, seed=case)
+
+        def record(states):
+            return lambda t, m, u, v: states.append((u.copy(), v.copy()))
+
+        by_pixel, by_level = [], []
+        fcm_cluster(pixels, config, initial_centroids=initial, on_iteration=record(by_pixel))
+        fcm_cluster(levels, config, initial_centroids=initial, on_iteration=record(by_level),
+                    weights=counts)
+        assert len(by_level) == len(by_pixel)
+        for (u_pixel, v_pixel), (u_level, v_level) in zip(by_pixel, by_level):
+            assert u_level.shape == (levels.size, c)
+            assert np.abs(u_level[inverse] - u_pixel).max() < 1e-9
+            assert np.abs(v_level - v_pixel).max() < 1e-9
+
+
+def test_segment_labels_match_pixel_domain_clustering():
+    rng = Prng(84)
+    for case in range(12):
+        width, height = 5 + rng.below(12), 3 + rng.below(9)
+        if width == height:
+            width += 1
+        data = np.array([rng.below(64) * 4 for _ in range(width * height)], dtype=np.uint8)
+        image = GrayImage(width, height, data.reshape(height, width))
+        config = FcmConfig(c=2 + rng.below(3), epsilon=1e-9, max_iter=200, seed=case)
+        labels, result = fcm_segment(image, config)
+        reference = fcm_cluster(data.astype(np.float64), config)
+        expected = np.argmax(reference.memberships, axis=1).reshape(height, width)
+        assert np.array_equal(labels.data, expected)
+        assert np.abs(result.centroids - reference.centroids).max() < 1e-9
+        assert result.iterations_run == reference.iterations_run
+        assert result.memberships.shape == (np.unique(data).size, config.c)
+
+
+def test_segment_tie_goes_to_lower_cluster_per_level():
+    # equal thirds of 0/100/200 converge to centroids symmetric about 100, so
+    # level 100 sits at exactly 0.5/0.5 (seed 5 draws 200 and 0 to start)
+    data = np.repeat(np.array([0, 100, 200], dtype=np.uint8), 39).reshape(13, 9)
+    labels, result = fcm_segment(GrayImage(9, 13, data), FcmConfig(c=2, seed=5))
+    levels, inverse = np.unique(data.ravel(), return_inverse=True)
+    assert np.array_equal(labels.data.ravel(), np.argmax(result.memberships, axis=1)[inverse])
+    assert result.memberships[1].tolist() == [0.5, 0.5]
+    assert set(labels.data[data == 100].tolist()) == {0}
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, -1.0, 2.0], [1.0, np.nan, 2.0]])
+def test_bad_weights_rejected(weights):
+    with pytest.raises(ValueError, match="weights"):
+        fcm_cluster(np.array([0.0, 1.0, 5.0]), FcmConfig(c=2, seed=0), weights=weights)
+
+
+def test_segment_with_fewer_levels_than_clusters_fails_at_once():
+    data = np.where(np.arange(224 * 224) % 3 == 0, 30, 200).astype(np.uint8)
+    image = GrayImage(224, 224, data.reshape(224, 224))
+    with pytest.raises(ValueError, match=r"^image has 2 distinct gray levels, fewer than c=3$"):
+        fcm_segment(image, FcmConfig(c=3, seed=0))
+
+
 def test_segment_constant_single_cluster():
     image = GrayImage(6, 6, [40] * 36)
     labels, result = fcm_segment(image, FcmConfig(c=1, seed=0))

@@ -233,3 +233,22 @@ def test_step_split_tool_times_every_named_layer(capsys):
     for name, _ in net.named_layers()[:-1]:  # all but head.softmax, which a step never runs
         assert report[f"{name}.forward"] >= 0.0 and report[f"{name}.backward"] >= 0.0
     assert report["step_s"] > 0.0
+
+
+END_TO_END_METRICS = ("pipeline_s", "setup_s", "peak_rss_mb", "output_mb")
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_committed_bench_file_records_machine_and_runs(path):
+    """Each BENCH_<topic>.json names its machine and parent and keeps every run's figures."""
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert {"cpu_count", "numpy", "blas"} <= set(bench["machine"])
+    assert bench["parent_commit"]
+    workloads = {name: w for name, w in bench["end_to_end"].items() if name != "command"}
+    assert workloads
+    for name, workload in workloads.items():
+        for metric in END_TO_END_METRICS:
+            parent, change = workload[metric]["parent"]["runs"], workload[metric]["change"]["runs"]
+            assert isinstance(parent, list) and isinstance(change, list), (name, metric)
+            assert len(parent) == len(change) > 0, (name, metric)
