@@ -256,8 +256,7 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
         save_matrix_csv(result.centroids, centroids_path)
         artifacts.extend([labels_path, memberships_path, centroids_path])
         if config.fcm_mask_enabled:
-            background = int(np.argmin(result.centroids[:, 0]))
-            mask = (label_map.data != background).astype(np.uint8) * 255
+            mask = (label_map.data != 0).astype(np.uint8) * 255  # label 0 is the darkest cluster
             mask_path = _mask_path(config, rel_path)
             save_pgm(GrayImage(label_map.width, label_map.height, mask), mask_path)
             artifacts.append(mask_path)

@@ -154,6 +154,10 @@ def load_pgm(path) -> GrayImage:
                 f"raster needs {count} bytes, file ends at byte {len(blob)}"
             )
         data = np.frombuffer(raster, dtype=np.uint8)
+        over = np.flatnonzero(data > maxval)
+        if over.size:
+            i = int(over[0])
+            raise PgmError(f"sample {data[i]} exceeds maxval {maxval} at byte {pos + i}")
     else:
         # every sample needs a separator and a digit; check before allocating
         if len(blob) - pos < 2 * count:

@@ -18,8 +18,9 @@ Points may carry non-negative weights, which multiply u^m in the centroid
 update; a weighted point counts as that many copies of itself. `fcm_segment`
 uses this to cluster the image's gray-level histogram (each distinct level
 weighted by its pixel count, as in EnFCM) instead of every pixel: the fixed
-point is the same, at most 256 points instead of width * height. The initial
-centroids are still drawn from the pixels, so seeding is unchanged.
+point is the same, at most 256 points instead of width * height. Initial
+centroids are c distinct points drawn in one seeded draw, so a segmentation
+seeds from the gray levels it clusters.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 
 from .dataio import GrayImage, write_atomic
 from .rng import Prng
-
-_INIT_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class FcmConfig:
 @dataclass
 class FcmResult:
     memberships: np.ndarray  # (n, c), rows sum to 1; from fcm_segment, one row per gray level
-    centroids: np.ndarray  # (c, d)
+    centroids: np.ndarray  # (c, d); from fcm_segment, ascending
     iterations_run: int
     final_shift: float
     converged: bool
@@ -122,25 +121,11 @@ def update_centroids(points, memberships, m: float, weights=None) -> np.ndarray:
 
 
 def pick_initial_centroids(points, c: int, seed: int) -> np.ndarray:
-    """c pairwise-distinct points sampled without replacement, seeded.
-
-    Index sets whose points collide (duplicate rows in the data) are redrawn
-    up to a fixed retry budget before giving up.
-    """
-    x = _as_points(points)
-    n = x.shape[0]
-    if n < c:
-        raise ValueError(f"need at least c={c} points, got {n}")
-    rng = Prng(seed)
-    for _ in range(_INIT_RETRIES):
-        idx = rng.sample_indices(n, c)
-        candidate = x[idx]
-        if np.unique(candidate, axis=0).shape[0] == c:
-            return candidate.copy()
-    raise ValueError(
-        f"could not draw {c} distinct initial centroids in {_INIT_RETRIES} attempts; "
-        "data may have fewer than c distinct points"
-    )
+    """c distinct points, drawn without replacement from the distinct rows, seeded."""
+    x = np.unique(_as_points(points), axis=0)
+    if len(x) < c:
+        raise ValueError(f"need at least c={c} distinct points, got {len(x)}")
+    return x[Prng(seed).sample_indices(len(x), c)]
 
 
 def fcm_cluster(
@@ -200,18 +185,20 @@ def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResu
     """Cluster pixel intensities and return the per-pixel label map.
 
     Clusters the distinct gray levels, each weighted by its pixel count, from
-    centroids drawn from the pixels. The result's memberships have one row
+    centroids drawn from those levels. Clusters are numbered by ascending
+    centroid, so label 0 is the darkest. The result's memberships have one row
     per distinct level, in ascending order. Labels are membership argmax with
-    ties broken toward the lower cluster index.
+    ties broken toward the lower, darker cluster.
     """
     if config.c > 256:
         raise ValueError("label maps are 8-bit; cluster count must be <= 256")
-    pixels = image.data.ravel().astype(np.float64)
-    levels, inverse, counts = np.unique(pixels, return_inverse=True, return_counts=True)
+    levels, inverse, counts = np.unique(image.data.ravel(), return_inverse=True, return_counts=True)
     if levels.size < config.c:
         raise ValueError(f"image has {levels.size} distinct gray levels, fewer than c={config.c}")
-    initial = pick_initial_centroids(pixels, config.c, config.seed)
-    result = fcm_cluster(levels, config, initial_centroids=initial, weights=counts)
+    result = fcm_cluster(levels, config, weights=counts)
+    order = np.argsort(result.centroids[:, 0], kind="stable")
+    result.centroids = result.centroids[order]
+    result.memberships = result.memberships[:, order]
     labels = np.argmax(result.memberships, axis=1).astype(np.uint8)[inverse]
     label_map = GrayImage(image.width, image.height, labels.reshape(image.height, image.width))
     return label_map, result

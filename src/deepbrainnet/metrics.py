@@ -10,6 +10,7 @@ counted one half.
 
 from __future__ import annotations
 
+import html
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,7 +318,7 @@ def roc_svg(curves, class_names, path) -> None:
         )
         parts.append(
             f'<text x="{size - margin - 145}" y="{ly}" font-size="11">'
-            f"{name} (AUC={curve.auc:.3f})</text>"
+            f"{html.escape(name)} (AUC={curve.auc:.3f})</text>"
         )
     parts.append("</svg>")
     write_atomic(path, "\n".join(parts) + "\n")
@@ -338,13 +339,14 @@ def confusion_svg(cm: ConfusionMatrix, path) -> None:
         "Confusion matrix (rows: true, columns: predicted)</text>",
     ]
     for j in range(k):
+        name = html.escape(cm.class_names[j])
         parts.append(
             f'<text x="{left + j * cell + cell / 2:.0f}" y="{top - 10}" font-size="11" '
-            f'text-anchor="middle">{cm.class_names[j]}</text>'
+            f'text-anchor="middle">{name}</text>'
         )
         parts.append(
             f'<text x="{left - 8}" y="{top + j * cell + cell / 2 + 4:.0f}" font-size="11" '
-            f'text-anchor="end">{cm.class_names[j]}</text>'
+            f'text-anchor="end">{name}</text>'
         )
         for i in range(k):
             value = int(cm.counts[j, i])

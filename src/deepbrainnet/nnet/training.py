@@ -98,8 +98,9 @@ class Adam:
             p -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
-def evaluate_loss(network: Network, x: np.ndarray, labels: np.ndarray, chunk: int = 256):
-    """Mean loss and accuracy over a dataset, dropout disabled."""
+def evaluate_loss(network: Network, x: np.ndarray, labels: np.ndarray):
+    """Mean loss and accuracy over a dataset, dropout disabled, 256 samples per forward."""
+    chunk = 256
     total_loss = 0.0
     correct = 0
     n = x.shape[0]

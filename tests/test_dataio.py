@@ -13,6 +13,7 @@ from deepbrainnet.dataio import (
     DatasetError,
     GrayImage,
     MalformedHeaderError,
+    PgmError,
     SplitSpec,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
@@ -67,6 +68,13 @@ def test_large_maxval_is_rejected(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5 2 2 65535 " + bytes(8))
     with pytest.raises(UnsupportedMaxvalError, match="65535"):
+        load_pgm(path)
+
+
+def test_p5_sample_above_maxval_is_rejected(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n2 2\n100\n" + bytes([7, 100, 200, 255]))
+    with pytest.raises(PgmError, match=r"^sample 200 exceeds maxval 100 at byte 13$"):
         load_pgm(path)
 
 

@@ -286,10 +286,17 @@ def test_cluster_requires_enough_points():
         fcm_cluster(np.array([[1.0]]), FcmConfig(c=2, seed=0))
 
 
-def test_duplicate_points_exhaust_init_retries():
+def test_fewer_distinct_points_than_clusters_fails_at_once():
     pts = np.zeros((10, 1))
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match=r"^need at least c=2 distinct points, got 1$"):
         pick_initial_centroids(pts, 2, seed=0)
+
+
+def test_initial_centroids_are_drawn_from_distinct_points():
+    pts = np.append(np.zeros(1000), 1.0)
+    for seed in range(20):
+        initial = pick_initial_centroids(pts, 2, seed=seed)
+        assert sorted(initial.ravel().tolist()) == [0.0, 1.0]
 
 
 def test_config_validation():
@@ -375,7 +382,9 @@ def test_segment_labels_match_pixel_domain_clustering():
         config = FcmConfig(c=2 + rng.below(3), epsilon=1e-9, max_iter=200, seed=case)
         labels, result = fcm_segment(image, config)
         reference = fcm_cluster(data.astype(np.float64), config)
-        expected = np.argmax(reference.memberships, axis=1).reshape(height, width)
+        order = np.argsort(reference.centroids[:, 0])
+        reference.centroids = reference.centroids[order]
+        expected = np.argmax(reference.memberships[:, order], axis=1).reshape(height, width)
         assert np.array_equal(labels.data, expected)
         assert np.abs(result.centroids - reference.centroids).max() < 1e-9
         assert result.iterations_run == reference.iterations_run
@@ -384,13 +393,36 @@ def test_segment_labels_match_pixel_domain_clustering():
 
 def test_segment_tie_goes_to_lower_cluster_per_level():
     # equal thirds of 0/100/200 converge to centroids symmetric about 100, so
-    # level 100 sits at exactly 0.5/0.5 (seed 5 draws 200 and 0 to start)
+    # level 100 sits at exactly 0.5/0.5 (seed 5 draws 0 and 200)
     data = np.repeat(np.array([0, 100, 200], dtype=np.uint8), 39).reshape(13, 9)
     labels, result = fcm_segment(GrayImage(9, 13, data), FcmConfig(c=2, seed=5))
     levels, inverse = np.unique(data.ravel(), return_inverse=True)
     assert np.array_equal(labels.data.ravel(), np.argmax(result.memberships, axis=1)[inverse])
     assert result.memberships[1].tolist() == [0.5, 0.5]
     assert set(labels.data[data == 100].tolist()) == {0}
+
+
+def test_segment_numbers_clusters_dark_to_bright():
+    rng = Prng(85)
+    for case in range(12):
+        data = np.array([rng.below(256) for _ in range(20 * 14)], dtype=np.uint8).reshape(14, 20)
+        config = FcmConfig(c=2 + case % 3, seed=case)
+        labels, result = fcm_segment(GrayImage(20, 14, data), config)
+        assert np.all(np.diff(result.centroids[:, 0]) > 0)
+        means = [data[labels.data == label].mean() for label in range(config.c)]
+        assert np.all(np.diff(means) > 0)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_segment_dominant_level_image_on_every_seed(c):
+    # 98 % level 0: a draw over the pixels almost never finds c distinct values
+    data = np.zeros(224 * 224, dtype=np.uint8)
+    data[:500], data[500:1000] = 120, 200
+    data = data.reshape(224, 224)
+    for seed in range(20):
+        labels, result = fcm_segment(GrayImage(224, 224, data), FcmConfig(c=c, seed=seed))
+        assert result.converged
+        assert set(np.unique(labels.data[data == 0]).tolist()) == {0}
 
 
 @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, -1.0, 2.0], [1.0, np.nan, 2.0]])

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -339,3 +341,15 @@ def test_confusion_svg_has_k_squared_cells(tmp_path):
     confusion_svg(cm, path)
     svg = path.read_text()
     assert svg.count("<rect") == 1 + 9  # background + cells
+
+
+def test_svg_text_escapes_class_names(tmp_path):
+    names = ("a&b", "<c>", 'say "d"')
+    labels, scores = sample_report()
+    curves = [roc_curve(scores[:, j], labels, j) for j in range(3)]
+    roc_svg(curves, names, tmp_path / "roc.svg")
+    confusion_svg(confusion_matrix([0, 1, 2], [0, 2, 1], 3, names), tmp_path / "cm.svg")
+    for name in ("roc.svg", "cm.svg"):
+        texts = [el.text for el in ET.parse(tmp_path / name).iter("{http://www.w3.org/2000/svg}text")]
+        for class_name in names:
+            assert any(text.startswith(class_name) for text in texts)
