@@ -183,7 +183,7 @@ def _convert(key: str, raw: str):
 def _validate(config: RunConfig) -> None:
     """Limits no stage config states, then every stage config built once."""
     checks = [
-        (config.image_size >= 16, "image_size must be >= 16"),
+        (16 <= config.image_size <= 4096, "image_size must be in [16, 4096]"),
         (0 <= config.background_threshold < 255, "background_threshold must be in [0, 255)"),
         (config.blur_kernel >= 1 and config.blur_kernel % 2 == 1, "blur_kernel must be odd"),
         (config.clahe_tiles <= config.image_size, "clahe_tiles must be <= image_size"),

@@ -372,8 +372,7 @@ def _texture(class_name: str, size: int, rng: Prng) -> GrayImage:
         d2 = (xs - cx) ** 2 + (ys - cy) ** 2
         inside = (r2_inner < d2) & (d2 <= r2_outer)
         background = 31
-    bounds = np.where(inside, span, background).ravel().tolist()
-    draws = np.array([rng.below(n) for n in bounds]).reshape(size, size)
+    draws = rng.belows(np.where(inside, span, background)).astype(np.int64)
     return GrayImage(size, size, np.where(inside, lo, 0) + draws)
 
 

@@ -10,6 +10,15 @@ package:
   (offset 0xCBF29CE484222325, prime 0x100000001B3)
 
 Floats in [0, 1) take the top 53 bits of one 64-bit output.
+
+Array draws (`uniforms`, `belows`) produce exactly the numbers, and leave the
+state exactly where, the same count of scalar draws would. They read a block
+of the stream at once: the xorshift step is linear over GF(2), so its 64x64
+bit matrix raised to a power jumps a state ahead (the powers T**(2**k) are
+precomputed once). Up to 256 lanes start one block length apart in the stream
+and step together in numpy; reading the lanes one after the other gives the
+stream in order. `normals` stays a scalar loop, because numpy's log and cos
+are not guaranteed to round like `math.log` and `math.cos`.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _SPLITMIX_INC = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MAX_LANES = 256
+_BITS = np.arange(64, dtype=np.uint64)
 
 
 def splitmix64(x: int) -> int:
@@ -52,6 +63,30 @@ def derive_seed(seed: int, *values: int) -> int:
     for v in values:
         s = splitmix64(s ^ (v & MASK64))
     return s
+
+
+def _gf2_apply(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Multiply a 64x64 GF(2) matrix, given as its 64 column words, with each state."""
+    bits = (states[:, None] >> _BITS) & np.uint64(1)
+    return np.bitwise_xor.reduce(bits * columns, axis=1)
+
+
+def _step_powers() -> list[np.ndarray]:
+    """Column words of T**(2**k) for k = 0..63, T being one xorshift step."""
+    columns = []
+    for i in range(64):
+        x = 1 << i
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & MASK64
+        columns.append(x ^ (x >> 27))
+    powers = [np.array(columns, dtype=np.uint64)]
+    for _ in range(63):
+        powers.append(_gf2_apply(powers[-1], powers[-1]))
+    return powers
+
+
+_STEP_POWERS = _step_powers()
+_XORSHIFT_MULT_U64 = np.uint64(_XORSHIFT_MULT)
 
 
 class Prng:
@@ -126,8 +161,55 @@ class Prng:
         return out.reshape(shape)
 
     def uniforms(self, shape) -> np.ndarray:
-        size = int(np.prod(shape))
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = self.uniform()
-        return out.reshape(shape)
+        """Floats in [0, 1), equal to as many `uniform()` calls in row-major order."""
+        u = self._states(int(np.prod(shape))) * _XORSHIFT_MULT_U64
+        return ((u >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shape)
+
+    def belows(self, bounds) -> np.ndarray:
+        """uint64 array of `below(n)` for each n in `bounds`, in order, same stream."""
+        bounds = np.asarray(bounds)
+        if bounds.size and bounds.dtype.kind not in "iuO":  # floats may have rounded
+            raise TypeError(f"belows() needs integer bounds, got {bounds.dtype}")
+        if bounds.size and not (1 <= int(bounds.min()) and int(bounds.max()) <= MASK64):
+            raise ValueError("belows() needs every bound in [1, 2**64)")
+        n = bounds.astype(np.uint64).ravel()
+        # below() accepts u < 2**64 - 2**64 % n, that is u <= ~(2**64 % n)
+        accept_max = ~((~n + np.uint64(1)) % n)
+        out = np.empty(n.size, dtype=np.uint64)
+        pos = 0
+        while pos < n.size:
+            u = self._states(n.size - pos) * _XORSHIFT_MULT_U64
+            while u.size:  # a rejected output is dropped; the rest move up a place
+                end = pos + u.size
+                rejected = np.flatnonzero(u > accept_max[pos:end])
+                k = int(rejected[0]) if rejected.size else u.size
+                out[pos:pos + k] = u[:k] % n[pos:pos + k]
+                pos += k
+                u = u[k + 1:]
+        return out.reshape(bounds.shape)
+
+    def _states(self, count: int) -> np.ndarray:
+        """The next `count` xorshift64* states, leaving the stream after the last."""
+        if count <= 0:
+            return np.empty(0, dtype=np.uint64)
+        lanes = min(_MAX_LANES, math.isqrt(count))
+        length = -(-count // lanes)
+        starts = np.full(lanes, self._state, dtype=np.uint64)
+        offsets = np.arange(lanes) * length  # lane j starts j * length steps ahead
+        for k in range(int(offsets[-1]).bit_length()):
+            jump = ((offsets >> k) & 1) == 1
+            starts[jump] = _gf2_apply(_STEP_POWERS[k], starts[jump])
+        block = np.empty((length, lanes), dtype=np.uint64)
+        scratch = np.empty(lanes, dtype=np.uint64)
+        x = starts
+        for row in block:
+            np.right_shift(x, np.uint64(12), out=scratch)
+            np.bitwise_xor(x, scratch, out=row)
+            np.left_shift(row, np.uint64(25), out=scratch)
+            row ^= scratch
+            np.right_shift(row, np.uint64(27), out=scratch)
+            row ^= scratch
+            x = row
+        states = block.T.ravel()[:count]
+        self._state = int(states[-1])
+        return states

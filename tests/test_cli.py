@@ -268,6 +268,7 @@ def test_help_exits_0(capsys):
 # (command, key, bad value, name the message must contain); every case is
 # caught when the config loads, before the command touches the disk
 BAD_SETTINGS = [
+    ("synth", "image_size", 1000000, "image_size"),
     ("train", "epochs", -2, "epochs"),
     ("fcm", "fcm_max_iter", 0, "max_iter"),
     ("fcm", "fcm_epsilon", 0, "epsilon"),
@@ -300,7 +301,7 @@ def test_bad_config_is_usage_error(tmp_path, capsys, command, key, value, name):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert name in lines[0]
     assert "Traceback" not in captured.out + captured.err
-    assert not out_dir.exists()
+    assert not out_dir.exists() and not (tmp_path / "dataset").exists()
 
 
 def test_zero_base_channels_is_config_error(tmp_path, capsys):

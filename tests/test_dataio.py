@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import os
 import tracemalloc
 from pathlib import Path
@@ -388,6 +389,18 @@ def test_synthetic_is_bit_deterministic(tmp_path):
     m2 = generate_synthetic_dataset(tmp_path / "two", 3, 32, seed=9)
     for (p1, _), (p2, _) in zip(m1.entries, m2.entries):
         assert Path(m1.full_path(p1)).read_bytes() == Path(m2.full_path(p2)).read_bytes()
+
+
+def test_synthetic_bytes_are_pinned(tmp_path):
+    """One digest over the rows and PGM bytes of a paper-size dataset, measured
+    before synth drew its pixels as array blocks, so any change to the
+    generator, the stream or the PGM writer shows."""
+    manifest = generate_synthetic_dataset(tmp_path, 2, 224, seed=11)
+    digest = hashlib.sha256()
+    for rel, label in manifest.entries:
+        digest.update(f"{rel},{label}\n".encode())
+        digest.update(Path(manifest.full_path(rel)).read_bytes())
+    assert digest.hexdigest() == "1012b2200571bd4f4c18940a303ffc94ef51e07b49eaee9288ed04e12afc8732"
 
 
 def reference_texture(class_name, size, rng):

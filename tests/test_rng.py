@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from deepbrainnet.rng import Prng, derive_seed, fnv1a64, splitmix64, stage_seed
 
@@ -69,3 +72,72 @@ def test_derive_seed_is_order_sensitive():
 def test_hash_building_blocks_change_on_input():
     assert splitmix64(0) != splitmix64(1)
     assert fnv1a64("a") != fnv1a64("b")
+
+
+def test_stream_matches_published_values():
+    """Known answers for the documented constants, so a change to the generator shows."""
+    a = Prng(0)
+    assert [a.next_u64() for _ in range(3)] == [0x7BBCB40D550682D0, 0xDE7FE413D00CC9FD, 0xB3C638353C668C91]
+    b = Prng(12345)
+    assert [b.next_u64() for _ in range(3)] == [0x47EDFD1CD809B6DC, 0x34D004209D31C6BA, 0x38B855AC9296D1E9]
+    c = Prng(12345)
+    assert c.below(61) == 33
+    assert c.uniform() == float.fromhex("0x1.a6802104e98e0p-3")
+    assert derive_seed(42, 3, 4) == 0xC8F064CE8E62C685
+    assert stage_seed(1, "synth") == 0xDA2672023AA159E5
+
+
+BLOCK_COUNTS = [1, 2, 255, 256, 257, 1024, 50176]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_uniforms_equal_scalar_stream(count):
+    block, scalar = Prng(count), Prng(count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block.uniforms(count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert np.array_equal(got, [scalar.uniform() for _ in range(count)])
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_belows_equal_scalar_stream(count):
+    bounds = [1 + (7 * i) % 300 for i in range(count)]
+    block, scalar = Prng(count + 1), Prng(count + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block.belows(np.array(bounds))
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == [scalar.below(n) for n in bounds]
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_belows_keeps_below_rejection_rule():
+    # 2**64 % (2**63 + 1) == 2**63 - 1, so about half of all outputs are rejected
+    bounds = [2**63 + 1] * 40 + [5, 2**64 - 1, 1]
+    block, scalar = Prng(8), Prng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block.belows(np.array(bounds, dtype=object))
+    assert got.tolist() == [scalar.below(n) for n in bounds]
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_uniforms_keeps_shape_and_empty_draw_leaves_stream():
+    block, scalar = Prng(4), Prng(4)
+    assert block.uniforms((2, 3)).shape == (2, 3)
+    assert block.belows([]).size == 0 and block.uniforms(0).size == 0
+    [scalar.uniform() for _ in range(6)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("bounds", [[3, 0], [-1], [2**64], [5, 2**64 + 7]])
+def test_belows_rejects_bounds_out_of_range(bounds):
+    with pytest.raises(ValueError):
+        Prng(1).belows(bounds)
+
+
+def test_belows_refuses_float_bounds():
+    with pytest.raises(TypeError):
+        Prng(1).belows([2**63 + 1, 5.0])
