@@ -71,24 +71,6 @@ def _gf2_apply(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(bits * columns, axis=1)
 
 
-def _step_powers() -> list[np.ndarray]:
-    """Column words of T**(2**k) for k = 0..63, T being one xorshift step."""
-    columns = []
-    for i in range(64):
-        x = 1 << i
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & MASK64
-        columns.append(x ^ (x >> 27))
-    powers = [np.array(columns, dtype=np.uint64)]
-    for _ in range(63):
-        powers.append(_gf2_apply(powers[-1], powers[-1]))
-    return powers
-
-
-_STEP_POWERS = _step_powers()
-_XORSHIFT_MULT_U64 = np.uint64(_XORSHIFT_MULT)
-
-
 class Prng:
     """xorshift64* stream seeded through splitmix64.
 
@@ -213,3 +195,21 @@ class Prng:
         states = block.T.ravel()[:count]
         self._state = int(states[-1])
         return states
+
+
+def _step_powers() -> list[np.ndarray]:
+    """Column words of T**(2**k) for k = 0..63, T being the step of `Prng.next_u64`."""
+    rng = Prng(0)
+    columns = []
+    for i in range(64):
+        rng._state = 1 << i
+        rng.next_u64()
+        columns.append(rng._state)
+    powers = [np.array(columns, dtype=np.uint64)]
+    for _ in range(63):
+        powers.append(_gf2_apply(powers[-1], powers[-1]))
+    return powers
+
+
+_STEP_POWERS = _step_powers()
+_XORSHIFT_MULT_U64 = np.uint64(_XORSHIFT_MULT)
