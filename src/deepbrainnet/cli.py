@@ -330,8 +330,7 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     _, val_manifest = _split(config, manifest)
     _, val_x, val_y = _load_tensors(config, val_manifest)
 
-    chunks = [predict(network, val_x[i : i + 256]) for i in range(0, val_x.shape[0], 256)]
-    scores = np.vstack(chunks)
+    scores = predict(network, val_x)
     report = classification_report(val_y, scores, class_names=manifest.class_names)
     y_pred = scores.argmax(axis=1)
 

@@ -10,6 +10,8 @@ convolutions) at a few thousand parameters.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..rng import Prng, derive_seed
@@ -25,6 +27,10 @@ from .layers import (
     Softmax,
     as_tensor4,
 )
+
+# Input bytes that inference sends through the branches at once: 6 images at
+# 224 px, and over 300 at 32 px.
+_CHUNK_BYTES = 8 << 20
 
 
 class Network(Layer):
@@ -111,12 +117,16 @@ class Network(Layer):
 
     # -- forward / backward -------------------------------------------------
 
-    def forward_logits(self, x, training: bool = False, rng: Prng | None = None) -> np.ndarray:
+    def _checked(self, x) -> np.ndarray:
         x = as_tensor4(x)
         if x.shape[2] != self.input_size or x.shape[3] != self.input_size:
             raise ValueError(
                 f"expected {self.input_size}x{self.input_size} inputs, got {x.shape[2]}x{x.shape[3]}"
             )
+        return x
+
+    def _fused(self, x: np.ndarray, training: bool, rng: Prng | None) -> np.ndarray:
+        """Both branches' pooled features of x, concatenated."""
         fa = x
         for layer in self.branch_a:
             fa = layer.forward(fa, training=training, rng=rng)
@@ -124,9 +134,28 @@ class Network(Layer):
         for layer in self.branch_b:
             fb = layer.forward(fb, training=training, rng=rng)
         self._split = fa.shape[1]
-        fused = np.concatenate([fa, fb], axis=1)
-        dropped = self.dropout.forward(fused, training=training, rng=rng)
-        return self.dense.forward(dropped)
+        return np.concatenate([fa, fb], axis=1)
+
+    def forward_logits(self, x, training: bool = False, rng: Prng | None = None) -> np.ndarray:
+        fused = self._fused(self._checked(x), training, rng)
+        return self.dense.forward(self.dropout.forward(fused, training=training, rng=rng))
+
+    def inference_logits(self, x) -> np.ndarray:
+        """Logits with dropout disabled, the branches run over cache-sized chunks.
+
+        Each chunk holds about `_CHUNK_BYTES` of input, so a conv's padded
+        input and taps stay near the cache instead of spanning the whole set.
+        The branches treat every image alone, so their features do not depend
+        on the chunk size; the head runs once over all of them, because a
+        one-row chunk would take the BLAS matrix-vector path in `Dense` and
+        round differently.
+        """
+        x = self._checked(x)
+        n = x.shape[0]
+        chunk = max(1, _CHUNK_BYTES // max(1, x.itemsize * math.prod(x.shape[1:])))
+        # an empty set still makes one (empty) pass, so its logits are (0, K)
+        fused = [self._fused(x[i : i + chunk], False, None) for i in range(0, max(n, 1), chunk)]
+        return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
         grad = self.dense.backward(grad_logits)
@@ -140,7 +169,7 @@ class Network(Layer):
 
     def forward(self, x) -> np.ndarray:
         """Class probabilities with dropout disabled."""
-        return self.softmax.forward(self.forward_logits(x, training=False))
+        return self.softmax.forward(self.inference_logits(x))
 
 
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,

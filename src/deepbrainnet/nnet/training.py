@@ -99,19 +99,9 @@ class Adam:
 
 
 def evaluate_loss(network: Network, x: np.ndarray, labels: np.ndarray):
-    """Mean loss and accuracy over a dataset, dropout disabled, 256 samples per forward."""
-    chunk = 256
-    total_loss = 0.0
-    correct = 0
-    n = x.shape[0]
-    for start in range(0, n, chunk):
-        xs = x[start : start + chunk]
-        ys = labels[start : start + chunk]
-        logits = network.forward_logits(xs, training=False)
-        loss, _, probs = softmax_cross_entropy(logits, ys)
-        total_loss += loss * xs.shape[0]
-        correct += int((probs.argmax(axis=1) == ys).sum())
-    return total_loss / n, correct / n
+    """Mean loss and accuracy over a dataset, dropout disabled."""
+    loss, _, probs = softmax_cross_entropy(network.inference_logits(x), labels)
+    return loss, int((probs.argmax(axis=1) == labels).sum()) / x.shape[0]
 
 
 def train(

@@ -3,6 +3,7 @@ import json
 import math
 import runpy
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from deepbrainnet.nnet import (
     save_checkpoint,
     softmax_cross_entropy,
 )
+from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
 
 
@@ -89,6 +91,70 @@ def test_predict_rejects_wrong_size():
     net = build_deepbrainnet_mini(16, 4, seed=11, base_channels=4)
     with pytest.raises(ValueError):
         predict(net, np.zeros((1, 3, 20, 20)))
+
+
+def test_predict_of_an_empty_batch_is_an_empty_matrix():
+    net = build_deepbrainnet_mini(16, 4, seed=11, base_channels=4)
+    assert predict(net, np.zeros((0, 3, 16, 16))).shape == (0, 4)
+
+
+CHUNK_224 = network_module._CHUNK_BYTES // (3 * 224 * 224 * 8)  # images per branch pass
+
+
+def test_chunked_predict_equals_one_whole_forward_at_224_px():
+    """Chunked inference gives the whole-batch probabilities bit for bit.
+
+    The branches treat each image alone, so chunking them changes no bit. The
+    head must still run once over the whole set: on a one-row chunk `Dense`
+    takes the BLAS matrix-vector path, which rounds differently (by up to
+    2.2e-16) from the matrix-matrix product of a larger batch.
+    """
+    net = build_deepbrainnet_mini(224, 4, seed=31)
+    for n in (1, 2, CHUNK_224 + 1):  # the last leaves a one-image tail chunk
+        x = Prng(32 + n).uniforms((n, 3, 224, 224))
+        whole = net.softmax.forward(net.forward_logits(x, training=False))
+        assert np.array_equal(predict(net, x), whole), n
+
+
+def _record_stem_batches(net):
+    sizes = []
+    forward = net.branch_a[0].forward
+
+    def recording(x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    net.branch_a[0].forward = recording
+    return sizes
+
+
+def test_predict_runs_the_branches_in_cache_sized_chunks():
+    assert CHUNK_224 >= 1
+    net = build_deepbrainnet_mini(224, 4, seed=33)
+    sizes = _record_stem_batches(net)
+    n = 2 * CHUNK_224 + 1
+    predict(net, Prng(34).uniforms((n, 3, 224, 224)))
+    assert max(sizes) <= CHUNK_224 and sum(sizes) == n, sizes
+
+    net = build_deepbrainnet_mini(32, 4, seed=35)
+    sizes = _record_stem_batches(net)
+    predict(net, Prng(36).uniforms((40, 3, 32, 32)))  # the desk workload's validation set
+    assert sizes == [40]
+
+
+def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward():
+    net = build_deepbrainnet_mini(224, 4, seed=37)
+    x = Prng(38).uniforms((24, 3, 224, 224))
+    peaks = []
+    for run in (lambda: predict(net, x), lambda: net.forward_logits(x, training=False)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunked, whole = peaks
+    assert chunked < whole / 2, (chunked, whole)
 
 
 def test_full_network_gradient_check():
