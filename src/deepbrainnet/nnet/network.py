@@ -151,10 +151,10 @@ class Network(Layer):
         round differently.
         """
         x = self._checked(x)
-        n = x.shape[0]
-        chunk = max(1, _CHUNK_BYTES // max(1, x.itemsize * math.prod(x.shape[1:])))
+        chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
         # an empty set still makes one (empty) pass, so its logits are (0, K)
-        fused = [self._fused(x[i : i + chunk], False, None) for i in range(0, max(n, 1), chunk)]
+        starts = range(0, max(x.shape[0], 1), chunk)
+        fused = [self._fused(x[i : i + chunk], False, None) for i in starts]
         return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
