@@ -28,9 +28,15 @@ from .layers import (
     as_tensor4,
 )
 
-# Input bytes that inference sends through the branches at once: 6 images at
-# 224 px, and over 300 at 32 px.
+# Input bytes that inference sends through the branches, and a training step
+# through the whole network, at once: 6 images at 224 px, and over 300 at 32 px.
 _CHUNK_BYTES = 8 << 20
+
+
+def _chunk_starts(x: np.ndarray) -> tuple[int, range]:
+    """Images per chunk of x, and the chunks' first rows; an empty x has one chunk."""
+    chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
+    return chunk, range(0, max(x.shape[0], 1), chunk)
 
 
 class Network(Layer):
@@ -151,11 +157,38 @@ class Network(Layer):
         round differently.
         """
         x = self._checked(x)
-        chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
         # an empty set still makes one (empty) pass, so its logits are (0, K)
-        starts = range(0, max(x.shape[0], 1), chunk)
+        chunk, starts = _chunk_starts(x)
         fused = [self._fused(x[i : i + chunk], False, None) for i in starts]
         return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
+
+    def train_step(self, x, labels, rng: Prng) -> tuple[float, np.ndarray | None]:
+        """Gradients of the mean loss over x, dropout on, summed over micro-batches.
+
+        Zeroes the parameter gradients, then runs forward, loss gradient and
+        backward on each chunk of `inference_logits`'s size in turn, so the
+        layers' caches and taps stay near the cache; the layers add each
+        chunk's parameter gradients to the last. A chunk's logit gradient is
+        (p - onehot) / n with n the rows of x, and dropout draws the stream in
+        row order, so only the summation order differs from one whole-batch
+        pass. Returns the whole batch's mean loss and probabilities, computed
+        over all chunks' logits at once. The first non-finite chunk loss is
+        returned as it is, with no probabilities and no later chunk run.
+        """
+        x = self._checked(x)
+        labels = np.asarray(labels)
+        chunk, starts = _chunk_starts(x)
+        self.zero_grads()
+        logits = []
+        for i in starts:
+            part = self.forward_logits(x[i : i + chunk], training=True, rng=rng)
+            loss, grad, _ = softmax_cross_entropy(part, labels[i : i + chunk], x.shape[0])
+            if not np.isfinite(loss):
+                return loss, None
+            self.backward_from_logits(grad)
+            logits.append(part)
+        loss, _, probs = softmax_cross_entropy(np.concatenate(logits), labels)
+        return loss, probs
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
         grad = self.dense.backward(grad_logits)
@@ -206,8 +239,13 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     return Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch plus its gradient w.r.t. the logits."""
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size: int | None = None):
+    """Mean cross-entropy over the rows plus its gradient w.r.t. the logits.
+
+    The gradient is divided by `batch_size`, by default the number of rows; a
+    micro-batch passes the size of its whole batch, so its gradient rows are
+    those of the whole batch.
+    """
     labels = np.asarray(labels)
     n = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
@@ -218,7 +256,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         loss = float(-np.log(picked).mean())
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n, probs
+    return loss, grad / (n if batch_size is None else batch_size), probs
 
 
 def predict(network: Network, images) -> np.ndarray:

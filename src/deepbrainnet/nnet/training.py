@@ -116,7 +116,9 @@ def train(
     `augment_fn(sample_index, epoch)`, when given, supplies the (C, H, W)
     training tensor for that sample and epoch; validation data are never
     augmented. During the first `freeze_branches_epochs` epochs only the head
-    is updated, mimicking fine-tuning on frozen pretrained branches.
+    is updated, mimicking fine-tuning on frozen pretrained branches. Each
+    batch takes one Adam step on gradients that `Network.train_step` sums
+    over cache-sized micro-batches.
     """
     train_x, train_y = train_set
     val_x, val_y = val_set
@@ -157,14 +159,11 @@ def train(
             else:
                 xb = train_x[batch]
             yb = train_y[batch]
-            logits = network.forward_logits(xb, training=True, rng=rng)
-            loss, dlogits, probs = softmax_cross_entropy(logits, yb)
+            loss, probs = network.train_step(xb, yb, rng)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite training loss at epoch {epoch}, batch start {start}"
                 )
-            network.zero_grads()
-            network.backward_from_logits(dlogits)
             optimizer.step(network.gradients(), lr, active=active)
             epoch_loss += loss * len(batch)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())

@@ -157,6 +157,53 @@ def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward():
     assert chunked < whole / 2, (chunked, whole)
 
 
+def _whole_batch_step(net, x, labels, rng):
+    """One training step without micro-batches: the reference for `train_step`."""
+    net.zero_grads()
+    loss, grad, probs = softmax_cross_entropy(net.forward_logits(x, training=True, rng=rng), labels)
+    net.backward_from_logits(grad)
+    return loss, probs
+
+
+def test_micro_batched_step_matches_the_whole_batch_step_at_224_px():
+    """Summed micro-batch gradients equal one whole-batch pass up to summation order.
+
+    A batch of chunk + 1 images leaves a one-row micro-batch, on which `Dense`
+    takes the BLAS matrix-vector path; that row's probabilities may round
+    differently, while the full chunk's rows are bit-equal.
+    """
+    net = build_deepbrainnet_mini(224, 4, seed=51)
+    n = CHUNK_224 + 1
+    x = Prng(52).uniforms((n, 3, 224, 224))
+    labels = np.arange(n) % 4
+    whole_rng, micro_rng = Prng(53), Prng(53)
+    whole_loss, whole_probs = _whole_batch_step(net, x, labels, whole_rng)
+    whole_grads = [g.copy() for g in net.gradients()]
+    loss, probs = net.train_step(x, labels, micro_rng)
+    for (name, _, grad), reference in zip(net.named_parameters(), whole_grads):
+        assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max(), name
+    assert loss == pytest.approx(whole_loss, rel=1e-15, abs=0.0)
+    assert np.array_equal(probs[:CHUNK_224], whole_probs[:CHUNK_224])
+    assert np.abs(probs - whole_probs).max() <= 1e-15
+    assert micro_rng.next_u64() == whole_rng.next_u64()  # dropout drew the same stream
+
+
+def test_micro_batched_step_holds_under_three_quarters_of_the_whole_step_memory():
+    net = build_deepbrainnet_mini(224, 4, seed=61)
+    x = Prng(62).uniforms((12, 3, 224, 224))  # the paper workload's batch
+    labels = np.arange(12) % 4
+    peaks = []
+    for step in (net.train_step, lambda *args: _whole_batch_step(net, *args)):
+        tracemalloc.start()
+        try:
+            step(x, labels, Prng(63))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    micro, whole = peaks
+    assert micro < 0.75 * whole, (micro, whole)
+
+
 def test_full_network_gradient_check():
     net = build_deepbrainnet_mini(16, 4, seed=12, dropout_rate=0.0, base_channels=4)
     rng = Prng(13)

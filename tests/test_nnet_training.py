@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from deepbrainnet.nnet import (
     evaluate_loss,
     train,
 )
+from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
 
 
@@ -131,11 +134,26 @@ def test_augment_fn_changes_history_under_same_seed():
     assert histories[0].train_loss != histories[1].train_loss
 
 
+def _train_until_non_finite(net, train_set, val_set, config):
+    """Run `train` into NonFiniteLossError; no parameter moved in the failing batch."""
+    before = []
+    step = net.train_step
+
+    def recording(*args):
+        before[:] = net.get_weights()
+        return step(*args)
+
+    net.train_step = recording
+    with pytest.raises(NonFiniteLossError, match="training loss at epoch"):
+        train(net, train_set, val_set, config)
+    for param, weight in zip(net.parameters(), before, strict=True):
+        assert np.array_equal(param, weight, equal_nan=True)
+
+
 def test_non_finite_loss_aborts():
     train_set, val_set = build_and_split()
     net = build_deepbrainnet_mini(16, 3, seed=9, dropout_rate=0.0, base_channels=4)
-    with pytest.raises(NonFiniteLossError):
-        train(net, train_set, val_set, small_config(epochs=10, learning_rate=1e30))
+    _train_until_non_finite(net, train_set, val_set, small_config(epochs=10, learning_rate=1e30))
 
 
 def test_nan_conv_weight_is_a_non_finite_loss():
@@ -144,8 +162,35 @@ def test_nan_conv_weight_is_a_non_finite_loss():
     net = build_deepbrainnet_mini(16, 3, seed=9, dropout_rate=0.0, base_channels=4)
     net.branch_a[2].conv1.w[0, 0, 1, 1] = np.nan
     assert not np.isfinite(net.forward_logits(train_set[0][:2])).any()
-    with pytest.raises(NonFiniteLossError):
-        train(net, train_set, val_set, small_config(epochs=2))
+    _train_until_non_finite(net, train_set, val_set, small_config(epochs=2))
+
+
+def test_a_poisoned_later_micro_batch_never_reaches_adam(monkeypatch):
+    """Earlier micro-batches of the batch run backward, but no Adam step follows."""
+    (train_x, train_y), val_set = build_and_split()
+    image_bytes = train_x[0].nbytes
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 2 * image_bytes)  # 2 images a chunk
+    order = list(range(len(train_y)))
+    Prng(5).shuffle(order)  # the first epoch's order: `train` draws it first from the seed
+    train_x = train_x.copy()
+    train_x[order[2:], 0, 0, 0] = np.nan  # only the first batch's first micro-batch is finite
+    net = build_deepbrainnet_mini(16, 3, seed=9, dropout_rate=0.0, base_channels=4)
+    _train_until_non_finite(net, (train_x, train_y), val_set, small_config(epochs=1))
+
+
+def test_seeded_train_at_32_px_pins_its_weights():
+    """At 32 px a batch of 32 is one micro-batch, so the weights stay those of one pass.
+
+    The digest was computed with the whole-batch step that micro-batching replaced.
+    """
+    x, y = toy_dataset(Prng(41), n_per_class=16, size=32)
+    train_idx = [i for i in range(len(y)) if i % 4 != 0]  # 36 images: batches of 32 and 4
+    val_idx = [i for i in range(len(y)) if i % 4 == 0]
+    net = build_deepbrainnet_mini(32, 3, seed=42)  # dropout on
+    train(net, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]),
+          TrainConfig(epochs=2, batch_size=32, seed=43))
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
+    assert digest == "3bb1b0d43f76b374369b78c2c3fa240726673358c820e8c7723ea7d0fd3e025b"
 
 
 def test_empty_dataset_rejected():

@@ -4,10 +4,12 @@
 
 Builds the seeded untrained network and runs a warm-up step plus `--steps`
 measured steps on seeded uniform inputs. A step is what `train` does per
-batch: a forward pass with dropout on, the loss, the backward pass and the
-Adam update. The forward and backward of each `Network.named_layers()` entry
-and the Adam update are timed with the span tracer of `perfbench/tracing.py`,
-and the median seconds per step are printed as one JSON object.
+batch: `Network.train_step` (forward with dropout on, loss gradient and
+backward over each cache-sized micro-batch in turn) and then the Adam update.
+The forward and backward of each `Network.named_layers()` entry, summed over
+the micro-batches, and the Adam update are timed with the span tracer of
+`perfbench/tracing.py`, and the median seconds per step are printed as one
+JSON object.
 `perfbench/layer_split.py` takes its figures from the paper workload's batch
 of 12 and scales them to batch 32; this measures the batch directly. Pin the
 BLAS thread count in the environment for comparable runs.
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deepbrainnet.nnet import Adam, TrainConfig, build_deepbrainnet_mini, softmax_cross_entropy
+from deepbrainnet.nnet import Adam, TrainConfig, build_deepbrainnet_mini
 from deepbrainnet.rng import Prng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -50,10 +52,7 @@ def main(argv=None) -> int:
     for step in range(args.steps + 1):
         tracer.run_id = str(step)
         with tracer.span("step"):
-            logits = network.forward_logits(x, training=True, rng=dropout_rng)
-            _, grad, _ = softmax_cross_entropy(logits, labels)
-            network.zero_grads()
-            network.backward_from_logits(grad)
+            network.train_step(x, labels, dropout_rng)
             adam_step(network.gradients(), config.learning_rate)
     # per measured step: seconds of each span name; the warm-up step "0" is left out
     seconds: dict[str, list[float]] = defaultdict(lambda: [0.0] * args.steps)
