@@ -170,13 +170,15 @@ class Network(Layer):
         layers' caches and taps stay near the cache; the layers add each
         chunk's parameter gradients to the last. A chunk's logit gradient is
         (p - onehot) / n with n the rows of x, and dropout draws the stream in
-        row order, so only the summation order differs from one whole-batch
-        pass. Returns the whole batch's mean loss and probabilities, computed
-        over all chunks' logits at once. The first non-finite chunk loss is
-        returned as it is, with no probabilities and no later chunk run.
+        row order, so a step differs from one whole-batch pass only in
+        rounding: the order in which gradients are summed, and the BLAS
+        matrix-vector path `Dense` takes on a one-row chunk. A batch that
+        fits one chunk is bit-identical to that pass. Returns the whole
+        batch's mean loss and probabilities, computed over all chunks' logits
+        at once. The first non-finite chunk loss is returned as it is, with no
+        probabilities and no later chunk run.
         """
         x = self._checked(x)
-        labels = np.asarray(labels)
         chunk, starts = _chunk_starts(x)
         self.zero_grads()
         logits = []

@@ -181,7 +181,9 @@ def test_a_poisoned_later_micro_batch_never_reaches_adam(monkeypatch):
 def test_seeded_train_at_32_px_pins_its_weights():
     """At 32 px a batch of 32 is one micro-batch, so the weights stay those of one pass.
 
-    The digest was computed with the whole-batch step that micro-batching replaced.
+    The digest was computed with the whole-batch step that micro-batching
+    replaced, on numpy 2.4 with OpenBLAS 0.3.31; another BLAS build may round
+    the GEMMs differently.
     """
     x, y = toy_dataset(Prng(41), n_per_class=16, size=32)
     train_idx = [i for i in range(len(y)) if i % 4 != 0]  # 36 images: batches of 32 and 4
