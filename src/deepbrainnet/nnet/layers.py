@@ -7,7 +7,10 @@ tap is one small BLAS GEMM per image row of the row-stacked (N, H, C, W)
 view of the input (see `_Conv`); what they return are NCHW views of
 row-stacked arrays, and every layer accepts any memory layout. Each layer
 caches what its backward pass needs, accumulates parameter gradients into its
-own buffers, and returns the gradient with respect to its input.
+own buffers, and returns the gradient with respect to its input; a
+convolution that reads the network input (`input_grad = False`) returns
+None instead. A stride-1 convolution computes that gradient as a forward
+correlation of the padded output gradient with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -142,6 +145,29 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3)
 
 
+def _padded_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """Row-stacked NCHW `a`, zero-padded by p on each spatial side (cropped by -p if p < 0)."""
+    rows = _rows(a)
+    if p <= 0:
+        return rows[:, -p : rows.shape[1] + p, :, -p : rows.shape[3] + p]
+    n, h, c, w = rows.shape
+    padded = np.zeros((n, h + 2 * p, c, w + 2 * p))
+    padded[:, p : p + h, :, p : p + w] = rows
+    return padded
+
+
+def _tap_sum(product, weight: np.ndarray, padded: np.ndarray, window) -> np.ndarray:
+    """Sum over the taps (i, j), in row-major order, of product(weight[i, j], padded[window(i, j)])."""
+    out = part = None
+    for i, j in np.ndindex(weight.shape[:2]):
+        part = product(weight[i, j], padded[window(i, j)], out=part)
+        if out is None:
+            out, part = part, None
+        else:
+            out += part
+    return out
+
+
 class _Conv(Layer):
     """Zero-padded strided cross-correlation as one loop over the K x K taps.
 
@@ -149,13 +175,23 @@ class _Conv(Layer):
     in which every image row is a (C, W) matrix. A dense tap's output rows are
     then `W_ij @ window`: one (O x C)(C x OW) BLAS GEMM per output row, reading
     the strided window in place, with no im2col buffer. Backward follows the
-    same pattern: dW_ij sums `g_rows @ window^T` over the rows, and the rows of
-    the input gradient gain `W_ij^T @ g_rows`. Outputs and input gradients are
-    NCHW views of row-stacked arrays, so a chain of convolutions never copies
-    to change layout. Subclasses fix the stored weight shape, which `_taps`
-    views tap-first; `DepthwiseConv2d` replaces the three per-tap products
-    with broadcast multiplies.
+    same pattern: dW_ij sums `g_rows @ window^T` over the rows. At stride 1 the
+    input gradient is the forward tap loop run on the output gradient,
+    zero-padded by K - 1 - p, with the kernel flipped: tap (i, j) multiplies
+    `W_ij^T` into the window of tap (K-1-i, K-1-j) (the transposed-convolution
+    identity of Dumoulin & Visin, arXiv:1603.07285). The taps run in the
+    order a scatter would add them, so every input position sums the same
+    products in the same order as the scatter. At larger strides the windows
+    of a zeroed padded buffer gain `W_ij^T @ g_rows` tap by tap. A layer whose
+    `input_grad` is False, such as a network's first convolution, skips the
+    input gradient and returns None. Outputs and input gradients are NCHW
+    views of row-stacked arrays, so a chain of convolutions never copies to
+    change layout. Subclasses fix the stored weight shape, which `_taps` views
+    tap-first; `DepthwiseConv2d` replaces the three per-tap products with
+    broadcast multiplies.
     """
+
+    input_grad = True
 
     def __init__(self, c_in, c_out, weight_shape, kernel, stride, padding, rng):
         if kernel % 2 == 0:
@@ -188,19 +224,9 @@ class _Conv(Layer):
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = _conv_out_size(h, k, s, p), _conv_out_size(w, k, s, p)
-        if p:
-            xr = np.zeros((n, h + 2 * p, c, w + 2 * p))
-            xr[:, p : p + h, :, p : p + w] = _rows(x)
-        else:
-            xr = _rows(x)
+        xr = _padded_rows(x, p)
         weight = np.ascontiguousarray(self._taps(self.w))
-        out = part = None
-        for i, j in np.ndindex(k, k):
-            part = self._tap_output(weight[i, j], xr[_window(i, j, s, oh, ow)], out=part)
-            if out is None:
-                out, part = part, None
-            else:
-                out += part
+        out = _tap_sum(self._tap_output, weight, xr, lambda i, j: _window(i, j, s, oh, ow))
         out += self.b[:, None]
         self._cache = (xr, h, w, oh, ow)
         return _rows(out)
@@ -209,20 +235,23 @@ class _Conv(Layer):
         xr, h, w, oh, ow = self._cache
         k, s, p = self.kernel, self.stride, self.padding
         g_rows = _rows(grad)
-        weight = np.ascontiguousarray(self._taps(self.w))
         dweight = self._taps(self.dw)
-        # a lone 1 x 1 stride-1 tap covers all of xr, so it needs no scatter buffer
-        dxr = None if k == s == 1 else np.zeros_like(xr)
+        for i, j in np.ndindex(k, k):
+            dweight[i, j] += self._tap_weight_grad(g_rows, xr[_window(i, j, s, oh, ow)])
+        self.db += grad.sum(axis=(0, 2, 3))
+        if not self.input_grad:
+            return None
+        weight = np.ascontiguousarray(self._taps(self.w))
+        if s == 1:
+            # correlate the output gradient, padded by K - 1 - p, with the flipped kernel
+            gr = _padded_rows(grad, k - 1 - p)
+            dx = _tap_sum(self._tap_input_grad, weight, gr, lambda i, j: _window(k - 1 - i, k - 1 - j, 1, h, w))
+            return _rows(dx)
+        dxr = np.zeros_like(xr)
         part = None
         for i, j in np.ndindex(k, k):
-            window = _window(i, j, s, oh, ow)
-            dweight[i, j] += self._tap_weight_grad(g_rows, xr[window])
             part = self._tap_input_grad(weight[i, j], g_rows, out=part)
-            if dxr is None:
-                dxr = part
-            else:
-                dxr[window] += part
-        self.db += grad.sum(axis=(0, 2, 3))
+            dxr[_window(i, j, s, oh, ow)] += part
         return _rows(dxr[:, p : p + h, :, p : p + w])
 
 
@@ -400,4 +429,5 @@ class ResidualBlock(Layer):
     def backward(self, grad):
         grad_sum = self.relu2.backward(grad)
         grad_branch = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
-        return grad_branch + grad_sum
+        grad_sum += grad_branch
+        return grad_sum

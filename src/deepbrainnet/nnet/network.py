@@ -192,7 +192,8 @@ class Network(Layer):
         loss, _, probs = softmax_cross_entropy(np.concatenate(logits), labels)
         return loss, probs
 
-    def backward_from_logits(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward_from_logits(self, grad_logits: np.ndarray) -> None:
+        """Accumulate every parameter gradient; the input gradient is not computed."""
         grad = self.dense.backward(grad_logits)
         grad = self.dropout.backward(grad)
         ga, gb = grad[:, : self._split], grad[:, self._split :]
@@ -200,7 +201,6 @@ class Network(Layer):
             ga = layer.backward(ga)
         for layer in reversed(self.branch_b):
             gb = layer.backward(gb)
-        return ga + gb
 
     def forward(self, x) -> np.ndarray:
         """Class probabilities with dropout disabled."""
@@ -214,7 +214,8 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     Branch A: stride-2 stem convolution then two residual blocks.
     Branch B: stride-2 ds block then a second stride-2 ds block doubling the
     channel count. Both end in global average pooling; the head sees
-    base_channels + 2*base_channels fused features.
+    base_channels + 2*base_channels fused features. The two convolutions that
+    read the input compute no input gradient.
     """
     if input_size < 16:
         raise ValueError(f"input_size must be >= 16 for the stride plan, got {input_size}")
@@ -236,6 +237,9 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
         DsBlock(c, 2 * c, kernel=3, stride=2, padding=1, rng=rng),
         GlobalAvgPool(),
     ]
+    # nothing reads the gradient of the network input
+    branch_a[0].input_grad = False
+    branch_b[0].depthwise.input_grad = False
     dropout = Dropout(dropout_rate)
     dense = Dense(3 * c, n_classes, rng=rng)
     return Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)

@@ -128,6 +128,53 @@ def test_conv_gradients_match_finite_differences(shape, stride, padding):
     assert finite_diff_input_check(conv, x) < 1e-4
 
 
+@pytest.mark.parametrize("shape,kernel,padding", [
+    ((2, 2, 6, 7), 5, 2),
+    ((1, 3, 5, 5), 3, 3),  # padding past K - 1: the output gradient is cropped, not padded
+])
+def test_wide_stride_1_conv_input_gradient_matches_finite_differences(shape, kernel, padding):
+    rng = Prng(shape[3] * 10 + kernel)
+    conv = Conv2d(shape[1], 3, kernel=kernel, padding=padding, rng=rng)
+    x = tensor(rng, *shape)
+    assert finite_diff_input_check(conv, x) < 1e-4
+
+
+def scatter_input_grad(layer, x, grad):
+    """Stride-1 input gradient as a scatter: a zeroed padded buffer whose tap
+    windows gain W_ij^T @ g_rows, one tap after another in row-major order."""
+    n, c, h, w = x.shape
+    k, p = layer.kernel, layer.padding
+    oh, ow = grad.shape[2:]
+    weight = np.ascontiguousarray(layer._taps(layer.w))
+    g_rows = grad.transpose(0, 2, 1, 3)
+    dxr = np.zeros((n, h + 2 * p, c, w + 2 * p))
+    for i, j in np.ndindex(k, k):
+        dxr[:, i : i + oh, :, j : j + ow] += layer._tap_input_grad(weight[i, j], g_rows)
+    return dxr[:, p : p + h, :, p : p + w].transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("kind,shape,kernel,padding", [
+    ("conv2d", (6, 8, 112, 112), 3, 1),
+    ("conv2d", (1, 3, 9, 13), 5, 2),
+    ("conv2d", (2, 4, 7, 10), 3, 0),
+    ("conv2d", (2, 4, 8, 11), 5, 1),
+    ("depthwise", (2, 5, 9, 12), 3, 1),
+    ("depthwise", (2, 5, 9, 12), 5, 2),
+])
+def test_stride_1_input_gradient_equals_the_scatter_bit_for_bit(kind, shape, kernel, padding):
+    """The flipped-kernel correlation adds each input position's products in the scatter's order."""
+    rng = Prng(sum(shape) + kernel)
+    c = shape[1]
+    if kind == "conv2d":
+        layer = Conv2d(c, c if c == 8 else 5, kernel=kernel, padding=padding, rng=rng)
+    else:
+        layer = DepthwiseConv2d(c, kernel=kernel, padding=padding, rng=rng)
+    x = rng.normals(shape)
+    out = layer.forward(x)
+    grad = rng.normals(out.shape)
+    assert np.array_equal(layer.backward(grad), scatter_input_grad(layer, x, grad))
+
+
 def reference_conv(x, w, b, stride, padding):
     """Direct nested-sum cross-correlation with a dense (O, C, K, K) kernel."""
     n, c, h, wd = x.shape
@@ -223,6 +270,14 @@ def test_depthwise_gradients_match_finite_differences():
     assert finite_diff_input_check(dw, x) < 1e-4
 
 
+def test_stride_1_depthwise_gradients_match_finite_differences():
+    rng = Prng(17)
+    dw = DepthwiseConv2d(3, kernel=3, padding=1, rng=rng)
+    x = tensor(rng, 2, 3, 5, 6)
+    assert finite_diff_param_check(dw, x) < 1e-4
+    assert finite_diff_input_check(dw, x) < 1e-4
+
+
 def test_pointwise_gradients_match_finite_differences():
     rng = Prng(15)
     pw = PointwiseConv2d(3, 5, rng=rng)
@@ -270,6 +325,13 @@ def test_residual_gradients_match_finite_differences():
     block = ResidualBlock(3, rng=rng)
     x = tensor(rng, 2, 3, 5, 5, lo=0.1, hi=1.0)  # keep activations off the relu kink
     assert finite_diff_param_check(block, x) < 1e-4
+
+
+def test_residual_input_gradient_matches_finite_differences():
+    rng = Prng(26)
+    block = ResidualBlock(3, rng=rng)  # seeded Kaiming weights, unlike the zero-weight test below
+    x = tensor(rng, 2, 3, 5, 5, lo=0.1, hi=1.0)
+    assert finite_diff_input_check(block, x) < 1e-4
 
 
 def test_residual_skip_contributes_identity_gradient():

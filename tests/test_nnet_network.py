@@ -216,6 +216,28 @@ def test_full_network_gradient_check():
     assert worst < 1e-4
 
 
+def test_input_layers_return_no_input_gradient_and_the_same_parameter_gradients():
+    net = build_deepbrainnet_mini(16, 4, seed=71, base_channels=4)
+    x = Prng(72).uniforms((3, 3, 16, 16))
+    _, dlogits, _ = softmax_cross_entropy(net.forward_logits(x), np.array([0, 1, 3]))
+    stem, first_ds = net.branch_a[0], net.branch_b[0]
+
+    def backward() -> list[np.ndarray]:
+        net.zero_grads()
+        net.forward_logits(x)
+        assert net.backward_from_logits(dlogits) is None
+        return [g.copy() for g in net.gradients()]
+
+    for layer in (stem, first_ds):
+        assert layer.backward(np.ones_like(layer.forward(x))) is None
+    skipped = backward()
+    stem.input_grad = first_ds.depthwise.input_grad = True
+    for layer in (stem, first_ds):
+        assert layer.backward(np.ones_like(layer.forward(x))).shape == x.shape
+    for (name, _, _), without, with_input_grad in zip(net.named_parameters(), skipped, backward()):
+        assert np.array_equal(without, with_input_grad), name
+
+
 def test_gradient_near_zero_when_prediction_is_saturated():
     net = build_deepbrainnet_mini(16, 2, seed=14, dropout_rate=0.0, base_channels=4)
     x = sample_batch(Prng(15), 1, 16)
