@@ -244,8 +244,8 @@ class _Conv(Layer):
         weight = np.ascontiguousarray(self._taps(self.w))
         if s == 1:
             # correlate the output gradient, padded by K - 1 - p, with the flipped kernel
-            gr = _padded_rows(grad, k - 1 - p)
-            dx = _tap_sum(self._tap_input_grad, weight, gr, lambda i, j: _window(k - 1 - i, k - 1 - j, 1, h, w))
+            dx = _tap_sum(self._tap_input_grad, weight, _padded_rows(grad, k - 1 - p),
+                          lambda i, j: _window(k - 1 - i, k - 1 - j, 1, h, w))
             return _rows(dx)
         dxr = np.zeros_like(xr)
         part = None
@@ -429,5 +429,7 @@ class ResidualBlock(Layer):
     def backward(self, grad):
         grad_sum = self.relu2.backward(grad)
         grad_branch = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
+        # into the fresh skip gradient, not into conv1's row-stacked one: the bias sums
+        # upstream add in memory order, so the returned array's layout fixes their rounding
         grad_sum += grad_branch
         return grad_sum
