@@ -1,4 +1,4 @@
-"""Per-image preprocessing, enhancement, augmentation, and edge detection.
+"""Per-image preprocessing and enhancement, batched augmentation, and edge detection.
 
 Conventions used throughout, chosen once so outputs are bit-comparable across
 implementations:
@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import GrayImage
 from .rng import Prng
+
+
+# Augmentation warps a batch in chunks of whole images totalling at most this
+# many pixels, and at least one image: 128 images at 32 px, 2 at 224 px.
+# Warping a 32-image 224 px batch as one chunk ran about 1.5x slower than in
+# chunks of one or two images: its float temporaries no longer fit the cache.
+_WARP_CHUNK_PIXELS = 1 << 17
 
 
 def _round_u8(values) -> np.ndarray:
@@ -48,6 +56,10 @@ class AugmentParams:
         for name in ("rotation_range", "zoom_range", "shift_range", "shear_range"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.zoom_range >= 1:  # a scale of 1 - zoom_range <= 0 is no zoom
+            raise ValueError(f"zoom_range must be < 1, got {self.zoom_range}")
+        if self.shear_range >= 90:  # a 90 degree shear has no inverse
+            raise ValueError(f"shear_range must be < 90 degrees, got {self.shear_range}")
         lo, hi = self.brightness_range
         if lo > hi or lo <= 0:
             raise ValueError(f"brightness_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
@@ -177,23 +189,21 @@ def clahe(image: GrayImage, params: ClaheParams) -> GrayImage:
     bx = [(i * image.width) // tx for i in range(tx + 1)]
     by = [(j * image.height) // ty for j in range(ty + 1)]
 
-    maps = np.empty((ty, tx, 256))
-    for j in range(ty):
-        for i in range(tx):
-            tile = image.data[by[j] : by[j + 1], bx[i] : bx[i + 1]]
-            hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
-            npx = tile.size
-            clip = params.clip_limit * npx / 256.0
-            over = hist > clip
-            excess = float((hist[over] - clip).sum())
-            clipped = np.minimum(hist, clip)
-            if excess > 0:
-                below = ~over
-                if below.any():
-                    clipped[below] += excess / below.sum()
-                else:
-                    clipped += excess / 256.0
-            maps[j, i] = 255.0 * np.cumsum(clipped) / npx
+    # all tiles' histograms from one bincount over tile * 256 + level
+    tile_row = np.repeat(np.arange(ty) * tx, np.diff(by))
+    tile_col = np.repeat(np.arange(tx), np.diff(bx))
+    tile_of = tile_row[:, None] + tile_col
+    hist = np.bincount((tile_of * 256 + image.data).ravel(), minlength=tx * ty * 256)
+    hist = hist.reshape(tx * ty, 256).astype(np.float64)
+    npx = (np.diff(by)[:, None] * np.diff(bx)).reshape(-1, 1)
+    clip = params.clip_limit * npx / 256.0
+    over = hist > clip
+    excess = np.where(over, hist - clip, 0.0).sum(axis=1, keepdims=True)
+    n_below = np.count_nonzero(~over, axis=1, keepdims=True)
+    share = np.where(n_below > 0, excess / np.maximum(n_below, 1), excess / 256.0)
+    clipped = np.minimum(hist, clip)
+    clipped += np.where((excess > 0) & (~over | (n_below == 0)), share, 0.0)
+    maps = (255.0 * np.cumsum(clipped, axis=1) / npx).ravel()
 
     centers_x = np.array([(bx[i] + bx[i + 1] - 1) / 2.0 for i in range(tx)])
     centers_y = np.array([(by[j] + by[j + 1] - 1) / 2.0 for j in range(ty)])
@@ -209,13 +219,12 @@ def clahe(image: GrayImage, params: ClaheParams) -> GrayImage:
     i0, i1, wx = blend_axis(np.arange(image.width, dtype=np.float64), centers_x)
     j0, j1, wy = blend_axis(np.arange(image.height, dtype=np.float64), centers_y)
 
-    v = image.data
-    rows0, rows1 = j0[:, None], j1[:, None]
-    cols0, cols1 = i0[None, :], i1[None, :]
-    m00 = maps[rows0, cols0, v]
-    m01 = maps[rows0, cols1, v]
-    m10 = maps[rows1, cols0, v]
-    m11 = maps[rows1, cols1, v]
+    level = image.data.astype(np.intp)
+    rows0, rows1 = (j0 * tx)[:, None], (j1 * tx)[:, None]
+    m00 = maps.take((rows0 + i0) * 256 + level)
+    m01 = maps.take((rows0 + i1) * 256 + level)
+    m10 = maps.take((rows1 + i0) * 256 + level)
+    m11 = maps.take((rows1 + i1) * 256 + level)
     wxr = wx[None, :]
     wyr = wy[:, None]
     blended = (1 - wyr) * ((1 - wxr) * m00 + wxr * m01) + wyr * ((1 - wxr) * m10 + wxr * m11)
@@ -351,53 +360,80 @@ def draw_augmentation(params: AugmentParams, seed: int) -> AugmentDraw:
     return AugmentDraw(rotation, hflip, vflip, zoom, shift_x, shift_y, shear, brightness)
 
 
-def apply_augmentation(image: GrayImage, draw: AugmentDraw) -> GrayImage:
-    """Apply a sampled transform: one composed affine resample, then brightness.
+def apply_augmentation(images: np.ndarray, draws: Sequence[AugmentDraw]) -> np.ndarray:
+    """Apply draws[i] to images[i] of a (B, H, W) uint8 stack; returns a new stack.
 
-    The affine part composes rotation @ shear @ zoom @ flips about the image
-    center plus a translation; sampling is bilinear with fill value 0 outside
-    the source footprint. Brightness multiplies, rounds half-up, and clamps.
+    Each transform is one affine resample, then brightness. The affine part
+    composes rotation @ shear @ zoom @ flips about the image center plus a
+    translation; sampling is bilinear with fill value 0 outside the source
+    footprint. Brightness multiplies, rounds half-up, and clamps. The stack is
+    warped in chunks of whole images of at most `_WARP_CHUNK_PIXELS` pixels
+    (or one larger image); each image's result does not depend on the chunk.
     """
-    theta = math.radians(draw.rotation_deg)
-    phi = math.radians(draw.shear_deg)
-    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    shear = np.array([[1.0, math.tan(phi)], [0.0, 1.0]])
-    zoom = np.array([[draw.zoom, 0.0], [0.0, draw.zoom]])
-    flip = np.diag([-1.0 if draw.hflip else 1.0, -1.0 if draw.vflip else 1.0])
-    matrix = rot @ shear @ zoom @ flip
-    shift = np.array([draw.shift_x_frac * image.width, draw.shift_y_frac * image.height])
+    n, h, w = images.shape
+    if len(draws) != n:
+        raise ValueError(f"{len(draws)} draws for {n} images")
+    per_chunk = max(1, _WARP_CHUNK_PIXELS // (h * w))
+    out = np.empty(images.shape, dtype=np.uint8)
+    for start in range(0, n, per_chunk):
+        stop = start + per_chunk
+        out[start:stop] = _warp(images[start:stop], draws[start:stop])
+    return out
 
-    inv = np.linalg.inv(matrix)
-    cx, cy = (image.width - 1) / 2.0, (image.height - 1) / 2.0
-    dst_x, dst_y = np.meshgrid(np.arange(image.width), np.arange(image.height))
-    rel = np.stack([dst_x.ravel() - cx - shift[0], dst_y.ravel() - cy - shift[1]])
+
+def _warp(images: np.ndarray, draws: Sequence[AugmentDraw]) -> np.ndarray:
+    """One chunk's transforms at once: stacked (B, 2, 2) matrices, flat corner gathers."""
+    b, h, w = images.shape
+    theta = [math.radians(d.rotation_deg) for d in draws]
+    rot = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in theta])
+    shear = np.array([[[1.0, math.tan(math.radians(d.shear_deg))], [0.0, 1.0]] for d in draws])
+    zoom = np.array([[[d.zoom, 0.0], [0.0, d.zoom]] for d in draws])
+    flip = np.array(
+        [[[-1.0 if d.hflip else 1.0, 0.0], [0.0, -1.0 if d.vflip else 1.0]] for d in draws]
+    )
+    inv = np.linalg.inv(rot @ shear @ zoom @ flip)
+    shift_x = np.array([d.shift_x_frac for d in draws]) * w
+    shift_y = np.array([d.shift_y_frac for d in draws]) * h
+
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    dst_x, dst_y = np.meshgrid(np.arange(w), np.arange(h))
+    rel = np.empty((b, 2, h * w))
+    np.subtract(dst_x.ravel() - cx, shift_x[:, None], out=rel[:, 0])
+    np.subtract(dst_y.ravel() - cy, shift_y[:, None], out=rel[:, 1])
     src = inv @ rel
-    sx = src[0] + cx
-    sy = src[1] + cy
+    src[:, 0] += cx
+    src[:, 1] += cy
+    sx, sy = src[:, 0], src[:, 1]
 
-    resampled = _bilinear_fill_zero(image.data.astype(np.float64), sx, sy)
-    out = resampled.reshape(image.height, image.width) * draw.brightness
-    return GrayImage(image.width, image.height, _round_u8(out))
-
-
-def _bilinear_fill_zero(src: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Bilinear samples at float coordinates; out-of-bounds corners contribute 0."""
-    h, w = src.shape
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
+    # Bilinear with fill 0. Each image gets a 2-pixel zero border and corner
+    # coordinates are clamped into it, so a corner outside the image reads 0
+    # and keeps the weight it had before clamping. The gathers read the
+    # padded stack flat: image offset + row * padded width + column.
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
+    pw = w + 4
+    padded = np.pad(images.astype(np.float64), ((0, 0), (2, 2), (2, 2))).ravel()
+    corner = np.clip(y0, -2, h)
+    corner *= pw
+    corner += np.clip(x0, -2, w)
+    corner += (np.arange(b) * ((h + 4) * pw) + 2 * pw + 2)[:, None]
+    corner = corner.astype(np.intp)
     total = np.zeros(sx.shape)
-    for dy, wy in ((0, 1 - fy), (1, fy)):
+    for dy, wy in ((0, 1 - fy), (pw, fy)):
         for dx, wx in ((0, 1 - fx), (1, fx)):
-            xi = x0 + dx
-            yi = y0 + dy
-            inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            weight = wx * wy * inside
-            total += weight * src[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-    return total
+            weight = wx * wy
+            weight *= padded[dy + dx :].take(corner)
+            total += weight
+    total *= np.array([d.brightness for d in draws])[:, None]
+    return _round_u8(total.reshape(b, h, w))
 
 
-def augment(image: GrayImage, params: AugmentParams, seed: int) -> GrayImage:
-    """Random augmentation: deterministic for identical (image, params, seed)."""
-    return apply_augmentation(image, draw_augmentation(params, seed))
+def augment(images: np.ndarray, params: AugmentParams, seeds: Sequence[int]) -> np.ndarray:
+    """Random augmentation of a (B, H, W) uint8 stack, image i drawn from seeds[i].
+
+    Deterministic for identical (image, params, seed): an image's result does
+    not depend on the other images in the stack.
+    """
+    return apply_augmentation(images, [draw_augmentation(params, seed) for seed in seeds])

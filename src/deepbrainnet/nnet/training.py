@@ -113,10 +113,11 @@ def train(
 ) -> TrainingHistory:
     """Minibatch Adam on softmax cross-entropy with seeded determinism.
 
-    `augment_fn(sample_index, epoch)`, when given, supplies the (C, H, W)
-    training tensor for that sample and epoch; validation data are never
-    augmented. During the first `freeze_branches_epochs` epochs only the head
-    is updated, mimicking fine-tuning on frozen pretrained branches. Each
+    `augment_fn(batch_indices, epoch)`, when given, supplies the (B, C, H, W)
+    training tensor of one minibatch: the samples at those indices, in that
+    order, augmented for that epoch. Validation data are never augmented.
+    During the first `freeze_branches_epochs` epochs only the head is
+    updated, mimicking fine-tuning on frozen pretrained branches. Each
     batch takes one Adam step on gradients that `Network.train_step` sums
     over cache-sized micro-batches.
     """
@@ -154,10 +155,7 @@ def train(
         epoch_correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            if augment_fn is not None:
-                xb = np.stack([augment_fn(i, epoch) for i in batch])
-            else:
-                xb = train_x[batch]
+            xb = train_x[batch] if augment_fn is None else augment_fn(batch, epoch)
             yb = train_y[batch]
             loss, probs = network.train_step(xb, yb, rng)
             if not np.isfinite(loss):

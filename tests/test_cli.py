@@ -281,6 +281,8 @@ BAD_SETTINGS = [
     ("train", "freeze_branches_epochs", -1, "freeze_branches_epochs"),
     ("train", "augment_rotation", -5, "rotation_range"),
     ("train", "augment_zoom", -1, "zoom_range"),
+    ("train", "augment_zoom", 1.5, "zoom_range"),
+    ("train", "augment_shear", 90, "shear_range"),
     ("train", "augment_brightness_lo", 0, "brightness_range"),
     ("train", "beta1", 1.5, "beta1"),
     ("train", "adam_epsilon", 0, "adam_epsilon"),

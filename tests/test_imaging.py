@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from deepbrainnet import imaging
 from deepbrainnet.dataio import GrayImage
 from deepbrainnet.imaging import (
     AugmentDraw,
@@ -24,6 +26,11 @@ from deepbrainnet.rng import Prng
 
 def random_image(rng, w, h, lo=0, hi=255):
     return GrayImage(w, h, [lo + rng.below(hi - lo + 1) for _ in range(w * h)])
+
+
+def random_planes(seed, count, w, h, levels=256, lo=0):
+    """(count, h, w) uint8 stack of values lo + below(levels)."""
+    return (lo + Prng(seed).belows(np.full((count, h, w), levels))).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +194,59 @@ def test_clahe_limiting_case_equals_global_equalization():
     for _ in range(10):
         image = random_image(rng, 9, 13)
         assert clahe(image, params) == equalize_histogram(image)
+
+
+def reference_clahe(image: GrayImage, params: ClaheParams) -> np.ndarray:
+    """The tile-by-tile loop CLAHE was first written as, kept as the reference."""
+    tx, ty = params.tiles_x, params.tiles_y
+    bx = [(i * image.width) // tx for i in range(tx + 1)]
+    by = [(j * image.height) // ty for j in range(ty + 1)]
+    maps = np.empty((ty, tx, 256))
+    for j in range(ty):
+        for i in range(tx):
+            tile = image.data[by[j] : by[j + 1], bx[i] : bx[i + 1]]
+            hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
+            clip = params.clip_limit * tile.size / 256.0
+            over = hist > clip
+            excess = float((hist[over] - clip).sum())
+            clipped = np.minimum(hist, clip)
+            if excess > 0:
+                below = ~over
+                if below.any():
+                    clipped[below] += excess / below.sum()
+                else:
+                    clipped += excess / 256.0
+            maps[j, i] = 255.0 * np.cumsum(clipped) / tile.size
+
+    def blend_axis(n, bounds):
+        centers = np.array([(bounds[k] + bounds[k + 1] - 1) / 2.0 for k in range(len(bounds) - 1)])
+        coords = np.arange(n, dtype=np.float64)
+        lo = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, len(centers) - 1)
+        hi = np.minimum(lo + 1, len(centers) - 1)
+        span = centers[hi] - centers[lo]
+        frac = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1), 0.0)
+        return lo, hi, np.clip(frac, 0.0, 1.0)
+
+    i0, i1, wx = blend_axis(image.width, bx)
+    j0, j1, wy = blend_axis(image.height, by)
+    v = image.data
+    m00, m01 = maps[j0[:, None], i0, v], maps[j0[:, None], i1, v]
+    m10, m11 = maps[j1[:, None], i0, v], maps[j1[:, None], i1, v]
+    wyr = wy[:, None]
+    blended = (1 - wyr) * ((1 - wx) * m00 + wx * m01) + wyr * ((1 - wx) * m10 + wx * m11)
+    return np.clip(np.floor(blended + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("clip_limit", [1.0, 2.3, 1000.0])
+@pytest.mark.parametrize("tiles", [(8, 8), (3, 5), (1, 1)])
+@pytest.mark.parametrize("width,height", [(37, 29), (33, 33)])
+def test_clahe_matches_tile_loop_reference(width, height, tiles, clip_limit):
+    params = ClaheParams(tiles_x=tiles[0], tiles_y=tiles[1], clip_limit=clip_limit)
+    spread = random_planes(71, 1, width, height)[0]
+    narrow = random_planes(72, 1, width, height, levels=12, lo=90)[0]  # bins far over the limit
+    for data in (spread, narrow):
+        image = GrayImage(width, height, data)
+        assert np.array_equal(clahe(image, params).data, reference_clahe(image, params))
 
 
 def test_clahe_constant_image_stays_close():
@@ -361,42 +421,115 @@ def test_canny_params_validated():
 # ---------------------------------------------------------------------------
 
 
+def reference_warp(image: np.ndarray, draw: AugmentDraw) -> np.ndarray:
+    """The per-image warp augmentation was first written as, kept as the reference."""
+    h, w = image.shape
+    theta = math.radians(draw.rotation_deg)
+    phi = math.radians(draw.shear_deg)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    shear = np.array([[1.0, math.tan(phi)], [0.0, 1.0]])
+    zoom = np.array([[draw.zoom, 0.0], [0.0, draw.zoom]])
+    flip = np.diag([-1.0 if draw.hflip else 1.0, -1.0 if draw.vflip else 1.0])
+    inv = np.linalg.inv(rot @ shear @ zoom @ flip)
+    shift = np.array([draw.shift_x_frac * w, draw.shift_y_frac * h])
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    dst_x, dst_y = np.meshgrid(np.arange(w), np.arange(h))
+    src = inv @ np.stack([dst_x.ravel() - cx - shift[0], dst_y.ravel() - cy - shift[1]])
+    sx, sy = src[0] + cx, src[1] + cy
+    source = image.astype(np.float64)
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
+    fx, fy = sx - x0, sy - y0
+    total = np.zeros(sx.shape)
+    for dy, wy in ((0, 1 - fy), (1, fy)):
+        for dx, wx in ((0, 1 - fx), (1, fx)):
+            xi, yi = x0 + dx, y0 + dy
+            inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            total += wx * wy * inside * source[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
+    out = total.reshape(h, w) * draw.brightness
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+MIXED_PARAMS = (
+    AugmentParams(),
+    AugmentParams(0.0, False, False, 0.0, 0.0, 0.0, (1.0, 1.0)),  # every category off
+    AugmentParams(45.0, True, True, 0.5, 0.3, 40.0, (0.5, 1.5)),
+    AugmentParams(0.0, True, True, 0.0, 0.2, 0.0, (1.0, 1.0)),  # flips and shift only
+    AugmentParams(180.0, False, True, 0.1, 0.0, 0.0, (1.0, 1.0)),
+)
+
+
+def mixed_draws(count):
+    draws = [AugmentDraw(), AugmentDraw(hflip=True, vflip=True, zoom=0.6, brightness=2.0)]
+    while len(draws) < count:
+        draws.append(draw_augmentation(MIXED_PARAMS[len(draws) % len(MIXED_PARAMS)], len(draws)))
+    return draws[:count]
+
+
+@pytest.mark.parametrize("width,height,count", [(32, 32, 12), (37, 29, 12), (224, 224, 5)])
+def test_batched_warp_matches_per_image_reference(width, height, count):
+    images = random_planes(81, count, width, height)
+    draws = mixed_draws(count)
+    if width == 224:  # the stack spans several warp chunks
+        assert count * width * height > imaging._WARP_CHUNK_PIXELS
+    out = apply_augmentation(images, draws)
+    assert out.shape == images.shape and out.dtype == np.uint8
+    for image, draw, warped in zip(images, draws, out):
+        assert np.array_equal(warped, reference_warp(image, draw))
+
+
+def test_augment_batch_digest_is_pinned():
+    images = random_planes(82, 6, 37, 29)
+    out = augment(images, AugmentParams(), seeds=[11, 12, 13, 14, 15, 16])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == AUGMENT_DIGEST
+
+
+# the per-image warp's result on this batch, before the warp was batched
+AUGMENT_DIGEST = "8dae92464206811b09427dbf11702b3c54f0bbad0ef9b9222a0069469d61bb7c"
+
+
 def test_augment_identity_params():
-    rng = Prng(61)
-    image = random_image(rng, 9, 9)
-    out = augment(image, AugmentParams(0.0, False, False, 0.0, 0.0, 0.0, (1.0, 1.0)), seed=5)
-    assert out == image
+    images = random_planes(61, 2, 9, 9)
+    out = augment(images, AugmentParams(0.0, False, False, 0.0, 0.0, 0.0, (1.0, 1.0)), seeds=[5, 6])
+    assert np.array_equal(out, images)
 
 
 def test_forced_hflip_is_exact():
-    rng = Prng(62)
-    image = random_image(rng, 8, 6)
-    out = apply_augmentation(image, AugmentDraw(hflip=True))
-    assert np.array_equal(out.data, image.data[:, ::-1])
+    images = random_planes(62, 2, 8, 6)
+    out = apply_augmentation(images, [AugmentDraw(hflip=True), AugmentDraw()])
+    assert np.array_equal(out[0], images[0][:, ::-1])
+    assert np.array_equal(out[1], images[1])
 
 
 def test_forced_vflip_is_exact():
-    rng = Prng(63)
-    image = random_image(rng, 5, 7)
-    out = apply_augmentation(image, AugmentDraw(vflip=True))
-    assert np.array_equal(out.data, image.data[::-1, :])
+    images = random_planes(63, 1, 5, 7)
+    out = apply_augmentation(images, [AugmentDraw(vflip=True)])
+    assert np.array_equal(out[0], images[0][::-1, :])
 
 
 def test_augment_same_seed_same_bytes():
-    rng = Prng(64)
-    image = random_image(rng, 16, 16)
+    images = random_planes(64, 3, 16, 16)
     params = AugmentParams()
-    a = augment(image, params, seed=99)
-    b = augment(image, params, seed=99)
-    assert a == b
+    assert np.array_equal(augment(images, params, [99, 7, 99]), augment(images, params, [99, 7, 99]))
+
+
+def test_augment_image_result_ignores_its_batch():
+    images = random_planes(66, 4, 16, 16)
+    seeds = [3, 1, 4, 1]
+    batch = augment(images, AugmentParams(), seeds)
+    for i in range(4):
+        assert np.array_equal(batch[i], augment(images[i : i + 1], AugmentParams(), seeds[i : i + 1])[0])
 
 
 def test_augment_different_seeds_usually_differ():
-    rng = Prng(65)
-    image = random_image(rng, 16, 16)
-    params = AugmentParams()
-    outputs = {augment(image, params, seed=s).tobytes() for s in range(6)}
-    assert len(outputs) > 1
+    images = np.repeat(random_planes(65, 1, 16, 16), 6, axis=0)
+    out = augment(images, AugmentParams(), seeds=range(6))
+    assert len({plane.tobytes() for plane in out}) > 1
+
+
+def test_augment_needs_one_draw_per_image():
+    with pytest.raises(ValueError):
+        apply_augmentation(random_planes(67, 2, 4, 4), [AugmentDraw()])
 
 
 def test_draw_order_skips_disabled_categories():
@@ -410,13 +543,18 @@ def test_draw_order_skips_disabled_categories():
 
 
 def test_brightness_multiplies_and_clamps():
-    image = GrayImage(2, 1, [100, 200])
-    out = apply_augmentation(image, AugmentDraw(brightness=1.5))
-    assert out.data.ravel().tolist() == [150, 255]
+    images = np.array([[[100, 200]]], dtype=np.uint8)
+    out = apply_augmentation(images, [AugmentDraw(brightness=1.5)])
+    assert out.ravel().tolist() == [150, 255]
 
 
 def test_augment_params_validated():
-    with pytest.raises(ValueError):
-        AugmentParams(rotation_range=-1.0)
-    with pytest.raises(ValueError):
-        AugmentParams(brightness_range=(1.2, 0.8))
+    for field, value in (
+        ("rotation_range", -1.0),
+        ("brightness_range", (1.2, 0.8)),
+        ("zoom_range", 1.0),  # a scale of 1 - 1 = 0 is no zoom
+        ("zoom_range", 1.5),
+        ("shear_range", 90.0),  # no inverse
+    ):
+        with pytest.raises(ValueError, match=field):
+            AugmentParams(**{field: value})

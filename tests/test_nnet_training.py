@@ -124,8 +124,8 @@ def test_augment_fn_changes_history_under_same_seed():
     noise = {(i, e): 0.05 * rng.normals(train_set[0][0].shape) for i in range(len(train_set[1]))
              for e in range(1, 4)}
 
-    def augment_fn(i, epoch):
-        return np.clip(train_set[0][i] + noise[(i, epoch)], 0.0, 1.0)
+    def augment_fn(batch, epoch):
+        return np.stack([np.clip(train_set[0][i] + noise[(i, epoch)], 0.0, 1.0) for i in batch])
 
     histories = []
     for fn in (None, augment_fn):
