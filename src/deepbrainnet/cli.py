@@ -40,7 +40,7 @@ from .dataio import (
 from .fcm import fcm_segment, format_run_summary, save_matrix_csv
 from .imaging import auto_crop_margins, box_blur, clahe, equalize_histogram, resize_bilinear
 from .imaging import augment as augment_image
-from .metrics import classification_report, confusion_matrix, confusion_svg, confusion_to_csv
+from .metrics import classification_report, confusion_svg, confusion_to_csv
 from .metrics import report_to_csv, report_to_text, roc_curve, roc_svg, roc_to_csv
 from .nnet import (
     NonFiniteLossError,
@@ -338,45 +338,32 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, float]]:
 
     scores = predict(network, val_x)
     report = classification_report(val_y, scores, class_names=manifest.class_names)
-    y_pred = scores.argmax(axis=1)
+    cm = report.confusion
+    curves = [roc_curve(scores[:, j], val_y, j) for j in range(cm.n_classes)]
+    predictions = ["path,true,pred," + ",".join(f"p_{j}" for j in range(cm.n_classes))]
+    for (rel_path, true_idx), pred, row in zip(val_manifest.entries, scores.argmax(axis=1), scores):
+        probs = ",".join(f"{p:.17g}" for p in row)
+        predictions.append(f"{rel_path},{true_idx},{pred},{probs}")
+    report_text = report_to_text(report, curves)
+    texts = {
+        "report.csv": report_to_csv(report, curves),
+        "report.txt": report_text,
+        "confusion.csv": confusion_to_csv(cm),
+        "confusion.svg": confusion_svg(cm),
+        **{f"roc_{name}.csv": roc_to_csv(curve) for name, curve in zip(cm.class_names, curves)},
+        "roc.svg": roc_svg(curves, cm.class_names),
+        "predictions.csv": "\n".join(predictions) + "\n",
+    }
 
     out_dir = _eval_dir(config)
     os.makedirs(out_dir, exist_ok=True)
     artifacts = []
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        write_atomic(path, text)
+        artifacts.append(path)
 
-    report_csv = os.path.join(out_dir, "report.csv")
-    report_to_csv(report, report_csv)
-    report_txt = os.path.join(out_dir, "report.txt")
-    write_atomic(report_txt, report_to_text(report))
-    artifacts.extend([report_csv, report_txt])
-
-    cm = confusion_matrix(val_y, y_pred, len(manifest.class_names), manifest.class_names)
-    confusion_csv_path = os.path.join(out_dir, "confusion.csv")
-    confusion_to_csv(cm, confusion_csv_path)
-    confusion_svg_path = os.path.join(out_dir, "confusion.svg")
-    confusion_svg(cm, confusion_svg_path)
-    artifacts.extend([confusion_csv_path, confusion_svg_path])
-
-    curves = [roc_curve(scores[:, j], val_y, j) for j in range(len(manifest.class_names))]
-    for name, curve in zip(manifest.class_names, curves):
-        curve_path = os.path.join(out_dir, f"roc_{name}.csv")
-        roc_to_csv(curve, curve_path)
-        artifacts.append(curve_path)
-    roc_svg_path = os.path.join(out_dir, "roc.svg")
-    roc_svg(curves, manifest.class_names, roc_svg_path)
-    artifacts.append(roc_svg_path)
-
-    predictions_path = os.path.join(out_dir, "predictions.csv")
-    k = len(manifest.class_names)
-    header = "path,true,pred," + ",".join(f"p_{j}" for j in range(k))
-    lines = [header]
-    for row, (rel_path, true_idx) in enumerate(val_manifest.entries):
-        probs = ",".join(f"{scores[row, j]:.17g}" for j in range(k))
-        lines.append(f"{rel_path},{true_idx},{int(y_pred[row])},{probs}")
-    write_atomic(predictions_path, "\n".join(lines) + "\n")
-    artifacts.append(predictions_path)
-
-    print(report_to_text(report))
+    print(report_text)
     print(f"evaluate: {len(val_manifest)} validation images, accuracy {report.accuracy:.3f}; "
           f"artifacts under {out_dir}")
     return artifacts, {}

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_atomic
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -53,7 +51,7 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class Report:
-    class_names: tuple[str, ...]
+    confusion: ConfusionMatrix
     per_class: tuple[ClassMetrics, ...]
     accuracy: float
     macro_precision: float
@@ -62,9 +60,6 @@ class Report:
     weighted_precision: float
     weighted_recall: float
     weighted_f1: float
-    total: int
-    per_class_auc: tuple[float, ...] | None = None
-    macro_auc: float | None = None
 
 
 def _default_names(k: int) -> tuple[str, ...]:
@@ -105,38 +100,6 @@ def class_metrics(cm: ConfusionMatrix) -> list[ClassMetrics]:
     return out
 
 
-def aggregate(
-    per_class: list[ClassMetrics],
-    cm: ConfusionMatrix,
-    per_class_auc=None,
-) -> Report:
-    total = cm.total
-    if total == 0:
-        raise ValueError("cannot aggregate over zero samples")
-    supports = np.array([m.support for m in per_class], dtype=np.float64)
-    if not np.array_equal(supports, cm.supports().astype(np.float64)):
-        raise ValueError("per-class supports disagree with confusion-matrix row sums")
-    precisions = np.array([m.precision for m in per_class])
-    recalls = np.array([m.recall for m in per_class])
-    f1s = np.array([m.f1 for m in per_class])
-    weights = supports / total
-    aucs = tuple(float(a) for a in per_class_auc) if per_class_auc is not None else None
-    return Report(
-        class_names=cm.class_names,
-        per_class=tuple(per_class),
-        accuracy=float(np.trace(cm.counts)) / total,
-        macro_precision=float(precisions.mean()),
-        macro_recall=float(recalls.mean()),
-        macro_f1=float(f1s.mean()),
-        weighted_precision=float((precisions * weights).sum()),
-        weighted_recall=float((recalls * weights).sum()),
-        weighted_f1=float((f1s * weights).sum()),
-        total=total,
-        per_class_auc=aucs,
-        macro_auc=float(np.mean(aucs)) if aucs else None,
-    )
-
-
 def roc_curve(scores, y_true, positive_class: int) -> RocCurve:
     """One-vs-rest ROC for one class over a descending distinct-score sweep.
 
@@ -144,6 +107,8 @@ def roc_curve(scores, y_true, positive_class: int) -> RocCurve:
     (1, 1); samples sharing a score enter in one step.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"class {positive_class} has non-finite scores; ROC undefined")
     y = np.asarray(y_true) == positive_class
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
@@ -182,96 +147,110 @@ def auc_trapezoid(fpr, tpr) -> float:
 
 
 def classification_report(y_true, scores, class_names=None) -> Report:
-    """Full report from per-sample probability rows.
+    """Confusion matrix, per-class metrics and their averages from probability rows.
 
     Predictions are per-row argmax with ties resolved toward the lower class
-    index. Rows must sum to 1 within 1e-6. Includes per-class one-vs-rest AUC
-    and their macro average.
+    index. Rows must sum to 1 within 1e-6; a row holding NaN fails that check.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must be an n x K matrix")
-    row_sums = scores.sum(axis=1)
-    if scores.shape[0] and np.abs(row_sums - 1.0).max() > 1e-6:
+    if not (np.abs(scores.sum(axis=1) - 1.0) <= 1e-6).all():
         raise ValueError("score rows must sum to 1 within 1e-6")
-    k = scores.shape[1]
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = scores.argmax(axis=1)
-    cm = confusion_matrix(y_true, y_pred, k, class_names)
+    cm = confusion_matrix(y_true, scores.argmax(axis=1), scores.shape[1], class_names)
+    total = cm.total
+    if total == 0:
+        raise ValueError("cannot report over zero samples")
     per_class = class_metrics(cm)
-    aucs = [roc_curve(scores[:, j], y_true, j).auc for j in range(k)]
-    return aggregate(per_class, cm, per_class_auc=aucs)
+    precisions = np.array([m.precision for m in per_class])
+    recalls = np.array([m.recall for m in per_class])
+    f1s = np.array([m.f1 for m in per_class])
+    weights = cm.supports() / total
+    return Report(
+        confusion=cm,
+        per_class=tuple(per_class),
+        accuracy=float(np.trace(cm.counts)) / total,
+        macro_precision=float(precisions.mean()),
+        macro_recall=float(recalls.mean()),
+        macro_f1=float(f1s.mean()),
+        weighted_precision=float((precisions * weights).sum()),
+        weighted_recall=float((recalls * weights).sum()),
+        weighted_f1=float((f1s * weights).sum()),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Exports
+# Exports: each returns the text of one file; the caller writes it
 # ---------------------------------------------------------------------------
 
 
-def report_to_csv(report: Report, path) -> None:
-    """Per-class rows then accuracy / macro / weighted rows, three decimals."""
+def _macro_auc(curves) -> float:
+    return float(np.mean([curve.auc for curve in curves]))
+
+
+def report_to_csv(report: Report, curves) -> str:
+    """Per-class rows then accuracy / macro / weighted rows, three decimals.
+
+    `curves` holds each class's ROC curve, in class order, for the AUC column.
+    """
+    total = report.confusion.total
     lines = ["label,precision,recall,f1,support,auc"]
-    for i, m in enumerate(report.per_class):
-        auc_cell = f"{report.per_class_auc[i]:.3f}" if report.per_class_auc else ""
-        lines.append(f"{m.name},{m.precision:.3f},{m.recall:.3f},{m.f1:.3f},{m.support},{auc_cell}")
-    lines.append(f"accuracy,,,{report.accuracy:.3f},{report.total},")
-    macro_auc_cell = f"{report.macro_auc:.3f}" if report.macro_auc is not None else ""
+    for m, curve in zip(report.per_class, curves):
+        lines.append(f"{m.name},{m.precision:.3f},{m.recall:.3f},{m.f1:.3f},{m.support},{curve.auc:.3f}")
+    lines.append(f"accuracy,,,{report.accuracy:.3f},{total},")
     lines.append(
         f"macro_avg,{report.macro_precision:.3f},{report.macro_recall:.3f},"
-        f"{report.macro_f1:.3f},{report.total},{macro_auc_cell}"
+        f"{report.macro_f1:.3f},{total},{_macro_auc(curves):.3f}"
     )
     lines.append(
         f"weighted_avg,{report.weighted_precision:.3f},{report.weighted_recall:.3f},"
-        f"{report.weighted_f1:.3f},{report.total},"
+        f"{report.weighted_f1:.3f},{total},"
     )
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def report_to_text(report: Report) -> str:
-    """Fixed-width table, three decimals."""
-    width = max(12, max(len(m.name) for m in report.per_class) + 2)
-    header = f"{'label':<{width}}{'precision':>10}{'recall':>8}{'f1-score':>10}{'support':>9}"
-    lines = [header]
-    if report.per_class_auc:
-        lines[0] += f"{'auc':>8}"
-    for i, m in enumerate(report.per_class):
-        row = f"{m.name:<{width}}{m.precision:>10.3f}{m.recall:>8.3f}{m.f1:>10.3f}{m.support:>9}"
-        if report.per_class_auc:
-            row += f"{report.per_class_auc[i]:>8.3f}"
-        lines.append(row)
-    lines.append("")
-    lines.append(f"{'accuracy':<{width}}{'':>10}{'':>8}{report.accuracy:>10.3f}{report.total:>9}")
-    lines.append(
-        f"{'macro avg':<{width}}{report.macro_precision:>10.3f}{report.macro_recall:>8.3f}"
-        f"{report.macro_f1:>10.3f}{report.total:>9}"
-    )
-    lines.append(
-        f"{'weighted avg':<{width}}{report.weighted_precision:>10.3f}{report.weighted_recall:>8.3f}"
-        f"{report.weighted_f1:>10.3f}{report.total:>9}"
-    )
-    if report.macro_auc is not None:
-        lines.append(f"{'macro auc':<{width}}{'':>10}{'':>8}{report.macro_auc:>10.3f}")
     return "\n".join(lines) + "\n"
 
 
-def roc_to_csv(curve: RocCurve, path) -> None:
+def report_to_text(report: Report, curves) -> str:
+    """Fixed-width table, three decimals; `curves` as for `report_to_csv`."""
+    total = report.confusion.total
+    width = max(12, max(len(m.name) for m in report.per_class) + 2)
+    lines = [f"{'label':<{width}}{'precision':>10}{'recall':>8}{'f1-score':>10}{'support':>9}{'auc':>8}"]
+    for m, curve in zip(report.per_class, curves):
+        lines.append(
+            f"{m.name:<{width}}{m.precision:>10.3f}{m.recall:>8.3f}{m.f1:>10.3f}{m.support:>9}"
+            f"{curve.auc:>8.3f}"
+        )
+    lines.append("")
+    lines.append(f"{'accuracy':<{width}}{'':>10}{'':>8}{report.accuracy:>10.3f}{total:>9}")
+    lines.append(
+        f"{'macro avg':<{width}}{report.macro_precision:>10.3f}{report.macro_recall:>8.3f}"
+        f"{report.macro_f1:>10.3f}{total:>9}"
+    )
+    lines.append(
+        f"{'weighted avg':<{width}}{report.weighted_precision:>10.3f}{report.weighted_recall:>8.3f}"
+        f"{report.weighted_f1:>10.3f}{total:>9}"
+    )
+    lines.append(f"{'macro auc':<{width}}{'':>10}{'':>8}{_macro_auc(curves):>10.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def roc_to_csv(curve: RocCurve) -> str:
     lines = ["fpr,tpr"]
     for f, t in zip(curve.fpr, curve.tpr):
         lines.append(f"{f:.17g},{t:.17g}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def confusion_to_csv(cm: ConfusionMatrix, path) -> None:
+def confusion_to_csv(cm: ConfusionMatrix) -> str:
     lines = ["true\\pred," + ",".join(cm.class_names)]
     for j, name in enumerate(cm.class_names):
         lines.append(name + "," + ",".join(str(int(v)) for v in cm.counts[j]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def roc_svg(curves, class_names, path) -> None:
+def roc_svg(curves, class_names) -> str:
     """Single-file SVG with one polyline per class and an AUC legend."""
     size, margin = 480, 60
     span = size - 2 * margin
@@ -321,10 +300,10 @@ def roc_svg(curves, class_names, path) -> None:
             f"{html.escape(name)} (AUC={curve.auc:.3f})</text>"
         )
     parts.append("</svg>")
-    write_atomic(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def confusion_svg(cm: ConfusionMatrix, path) -> None:
+def confusion_svg(cm: ConfusionMatrix) -> str:
     """Heatmap SVG; cell shading scales with count."""
     k = cm.n_classes
     cell, left, top = 64, 120, 60
@@ -361,4 +340,4 @@ def confusion_svg(cm: ConfusionMatrix, path) -> None:
                 f'font-size="12" text-anchor="middle" fill="{text_fill}">{value}</text>'
             )
     parts.append("</svg>")
-    write_atomic(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -12,8 +12,9 @@ Layout (all integers little-endian):
     per array:    kind code u8, ndim u8, then ndim u32 dimensions
     then          every parameter as f32, flattened C-order, in declaration order
 
-A sidecar CSV (same path + ".layers.csv") lists layer names, kinds, parameter
-names, and shapes for inspection.
+Loading rejects a parameter value that is NaN or infinite. A sidecar CSV
+(same path + ".layers.csv") lists layer names, kinds, parameter names, and
+shapes for inspection.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def load_checkpoint(path) -> Network:
         count = math.prod(dims)
         offset = take(4 * count, f"{name}.{pname}")
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"non-finite value in {name}.{pname} of {path!r}")
         param[...] = values.astype(np.float64).reshape(dims)
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")

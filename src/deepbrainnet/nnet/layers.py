@@ -67,7 +67,7 @@ def param_count(spec: LayerSpec) -> int:
         return 2 * (k * k * ci * ci + (ci if b else 0))
     if spec.kind == "dense":
         return spec.features_in * spec.features_out + (spec.features_out if b else 0)
-    if spec.kind in ("relu", "global_avg_pool", "dropout", "softmax"):
+    if spec.kind in ("relu", "global_avg_pool", "dropout"):
         return 0
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
@@ -366,20 +366,6 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-
-class Softmax(Layer):
-    kind = "softmax"
-
-    def forward(self, x, training=False, rng=None):
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        self._probs = e / e.sum(axis=1, keepdims=True)
-        return self._probs
-
-    def backward(self, grad):
-        p = self._probs
-        return p * (grad - (grad * p).sum(axis=1, keepdims=True))
 
 
 class DsBlock(Layer):

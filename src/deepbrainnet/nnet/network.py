@@ -24,7 +24,6 @@ from .layers import (
     Layer,
     ReLU,
     ResidualBlock,
-    Softmax,
     as_tensor4,
 )
 
@@ -62,7 +61,6 @@ class Network(Layer):
         self.branch_b = branch_b
         self.dropout = dropout
         self.dense = dense
-        self.softmax = Softmax()
         self.n_classes = n_classes
         self.input_size = input_size
         self.base_channels = base_channels
@@ -73,7 +71,7 @@ class Network(Layer):
     def named_layers(self) -> list[tuple[str, Layer]]:
         named = [(f"branch_a.{i}", layer) for i, layer in enumerate(self.branch_a)]
         named += [(f"branch_b.{i}", layer) for i, layer in enumerate(self.branch_b)]
-        named += [("head.dropout", self.dropout), ("head.dense", self.dense), ("head.softmax", self.softmax)]
+        named += [("head.dropout", self.dropout), ("head.dense", self.dense)]
         return named
 
     def children(self) -> dict[str, Layer]:
@@ -204,7 +202,7 @@ class Network(Layer):
 
     def forward(self, x) -> np.ndarray:
         """Class probabilities with dropout disabled."""
-        return self.softmax.forward(self.inference_logits(x))
+        return softmax(self.inference_logits(x))
 
 
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
@@ -245,6 +243,12 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     return Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise probabilities of logits, each row shifted by its maximum first."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size: int | None = None):
     """Mean cross-entropy over the rows plus its gradient w.r.t. the logits.
 
@@ -254,9 +258,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size: in
     """
     labels = np.asarray(labels)
     n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(logits)
     picked = probs[np.arange(n), labels]
     with np.errstate(divide="ignore"):
         loss = float(-np.log(picked).mean())
@@ -270,19 +272,13 @@ def predict(network: Network, images) -> np.ndarray:
     return network.forward(images)
 
 
-def gradient_check(
-    network: Network,
-    sample,
-    epsilon: float = 1e-5,
-    max_params_per_array: int | None = None,
-) -> float:
+def gradient_check(network: Network, sample, epsilon: float = 1e-5) -> float:
     """Worst mismatch between analytic and central-finite-difference gradients.
 
-    Checks every parameter of every layer (or an evenly spaced subsample per
-    parameter array). The reported figure is |numeric - analytic| /
-    max(|numeric| + |analytic|, 1e-5); the absolute floor keeps round-off on
-    near-zero gradients from registering as relative error. Dropout is
-    disabled throughout.
+    Checks every parameter of every layer. The reported figure is
+    |numeric - analytic| / max(|numeric| + |analytic|, 1e-5); the absolute
+    floor keeps round-off on near-zero gradients from registering as relative
+    error. Dropout is disabled throughout.
     """
     x, labels = sample
     x = as_tensor4(x)
@@ -301,12 +297,7 @@ def gradient_check(
     for _, param, grad in network.named_parameters():
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
-        if max_params_per_array is not None and flat.size > max_params_per_array:
-            step = flat.size / max_params_per_array
-            indices = [int(i * step) for i in range(max_params_per_array)]
-        else:
-            indices = range(flat.size)
-        for i in indices:
+        for i in range(flat.size):
             original = flat[i]
             flat[i] = original + epsilon
             plus = loss_value()

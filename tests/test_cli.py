@@ -2,6 +2,8 @@ import hashlib
 import os
 import re
 import shutil
+import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +15,9 @@ from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
 from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
 from deepbrainnet.rng import Prng
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracing import Tracer, instrument  # noqa: E402
 
 
 def write_config(path, **overrides):
@@ -515,6 +520,24 @@ def test_evaluate_is_rerunnable_and_deterministic(tmp_path):
         assert (out / "eval" / name).read_bytes() == blob
 
 
+def test_traced_evaluate_records_the_spans_perfbench_reports(tmp_path):
+    """The benchmark tracer wraps these names in `cli`; evaluate calls each, once per result."""
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", epochs=1)
+    tracer = Tracer()
+    with instrument(tracer):
+        for command in ("synth", "preprocess", "train", "evaluate"):
+            tracer.run_id = command
+            assert run(command, "--config", cfg) == 0, command
+    spans = Counter(name for name, *_, run_id in tracer.spans if run_id == "evaluate")
+    k = 4
+    assert spans["nnet.predict"] == 1
+    assert spans["metrics.classification_report"] == 1
+    assert spans["metrics.roc_curve"] == k
+    assert spans["metrics.csv"] == 2 + k  # report, confusion matrix, one ROC table per class
+    assert spans["metrics.svg"] == 2
+
+
 def test_two_runs_identical_seed_identical_artifacts(tmp_path):
     out1, _ = pipeline(tmp_path / "one")
     out2, _ = pipeline(tmp_path / "two")
@@ -602,6 +625,12 @@ def test_evaluate_huge_class_count_is_data_error(tmp_path, capsys):
     patched = (2**30).to_bytes(4, "little")
     err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:16] + patched + blob[20:])
     assert err.startswith("data error: header of") and "disagrees with its shape table" in err
+
+
+def test_evaluate_nan_weight_checkpoint_is_data_error(tmp_path, capsys):
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:-8] + nan + blob[-4:])
+    assert err.startswith("data error: non-finite value in head.dense.bias of ")
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

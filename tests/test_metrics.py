@@ -1,10 +1,10 @@
+import signal
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from deepbrainnet.metrics import (
-    aggregate,
     auc_trapezoid,
     class_metrics,
     classification_report,
@@ -117,6 +117,13 @@ def test_f1_is_harmonic_mean_identity():
                 assert m.f1 == 0.0
 
 
+def report_of(cm):
+    """classification_report over one-hot rows whose argmax reproduces cm."""
+    k = cm.n_classes
+    cells = np.repeat(np.arange(k * k), cm.counts.ravel())
+    return classification_report(cells // k, one_hot(cells % k, k), cm.class_names)
+
+
 def test_accuracy_equals_micro_precision_and_recall():
     rng = Prng(91)
     for _ in range(100):
@@ -128,7 +135,8 @@ def test_accuracy_equals_micro_precision_and_recall():
         micro_precision = tp / (tp + fp)
         fn = float(cm.counts.sum() - np.trace(cm.counts))
         micro_recall = tp / (tp + fn)
-        report = aggregate(class_metrics(cm), cm)
+        report = report_of(cm)
+        assert np.array_equal(report.confusion.counts, cm.counts)
         assert report.accuracy == pytest.approx(micro_precision, abs=1e-12)
         assert report.accuracy == pytest.approx(micro_recall, abs=1e-12)
 
@@ -139,15 +147,13 @@ def test_accuracy_equals_micro_precision_and_recall():
 
 
 def test_equal_supports_make_weighted_equal_macro():
-    cm = confusion_matrix([0, 0, 1, 1, 2, 2], [0, 1, 1, 0, 2, 2], 3)
-    report = aggregate(class_metrics(cm), cm)
+    report = report_of(confusion_matrix([0, 0, 1, 1, 2, 2], [0, 1, 1, 0, 2, 2], 3))
     assert abs(report.weighted_f1 - report.macro_f1) < 1e-12
     assert abs(report.weighted_precision - report.macro_precision) < 1e-12
 
 
 def test_single_class_accuracy_equals_recall():
-    cm = confusion_matrix([1, 1, 1, 1], [1, 1, 0, 1], 2)
-    report = aggregate(class_metrics(cm), cm)
+    report = report_of(confusion_matrix([1, 1, 1, 1], [1, 1, 0, 1], 2))
     assert report.accuracy == pytest.approx(report.per_class[1].recall)
 
 
@@ -159,10 +165,9 @@ def test_reference_macro_aggregation():
     assert sum(precisions) / 4 == pytest.approx(0.88675)
 
 
-def test_aggregate_rejects_empty():
-    cm = confusion_matrix([], [], 2)
-    with pytest.raises(ValueError):
-        aggregate(class_metrics(cm), cm)
+def test_report_rejects_empty():
+    with pytest.raises(ValueError, match="zero samples"):
+        classification_report([], np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,26 @@ def test_all_tied_scores_give_chance_level():
 def test_roc_requires_both_classes():
     with pytest.raises(ValueError):
         roc_curve([0.1, 0.2], [1, 1], 1)
+
+
+@pytest.fixture()
+def within_5_s():
+    """Fails the test after 5 s, so a ROC sweep that never steps past a NaN fails, not hangs."""
+
+    def hung(signum, frame):
+        raise AssertionError("did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_roc_rejects_non_finite_scores(within_5_s, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        roc_curve([0.5, bad], [0, 1], 1)
 
 
 def test_roc_is_monotone():
@@ -252,8 +277,17 @@ def test_perfect_one_hot_report():
     labels = [0, 1, 2, 0, 1, 2]
     report = classification_report(labels, one_hot(labels, 3))
     assert report.accuracy == 1.0
-    assert report.macro_auc == pytest.approx(1.0)
     assert report.macro_f1 == pytest.approx(1.0)
+    assert np.array_equal(report.confusion.counts, np.diag([2, 2, 2]))
+
+
+def test_report_keeps_the_confusion_matrix_of_its_predictions():
+    labels, scores = sample_report()
+    report = classification_report(labels, scores, class_names=("a", "b", "c"))
+    cm = confusion_matrix(labels, scores.argmax(axis=1), 3, ("a", "b", "c"))
+    assert np.array_equal(report.confusion.counts, cm.counts)
+    assert report.confusion.class_names == ("a", "b", "c")
+    assert tuple(m.support for m in report.per_class) == tuple(cm.supports())
 
 
 def test_report_rows_follow_class_name_order():
@@ -276,6 +310,11 @@ def test_report_rejects_unnormalized_rows():
         classification_report([0, 1], np.array([[0.9, 0.3], [0.5, 0.5]]))
 
 
+def test_report_rejects_a_nan_row(within_5_s):
+    with pytest.raises(ValueError, match="sum to 1"):
+        classification_report([0, 1], np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
@@ -289,67 +328,64 @@ def sample_report():
     return labels, scores
 
 
-def test_report_csv_and_text(tmp_path):
+def sample_curves(labels, scores):
+    return [roc_curve(scores[:, j], labels, j) for j in range(scores.shape[1])]
+
+
+def test_report_csv_and_text():
     labels, scores = sample_report()
     report = classification_report(labels, scores, class_names=("a", "b", "c"))
-    csv_path = tmp_path / "report.csv"
-    report_to_csv(report, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
+    curves = sample_curves(labels, scores)
+    lines = report_to_csv(report, curves).strip().splitlines()
     assert lines[0] == "label,precision,recall,f1,support,auc"
     assert len(lines) == 1 + 3 + 3  # classes + accuracy/macro/weighted
+    assert [line.split(",")[-1] for line in lines[1:4]] == [f"{c.auc:.3f}" for c in curves]
     assert lines[4].startswith("accuracy,,,")
-    text = report_to_text(report)
+    macro_auc = f"{np.mean([c.auc for c in curves]):.3f}"
+    assert lines[5].split(",")[-1] == macro_auc
+    text = report_to_text(report, curves)
     assert "macro avg" in text and "weighted avg" in text
+    assert text.splitlines()[-1].split() == ["macro", "auc", macro_auc]
     for value in text.split():
         if value.replace(".", "").isdigit() and "." in value:
             assert len(value.split(".")[1]) == 3  # three decimals everywhere
 
 
-def test_confusion_csv_layout(tmp_path):
+def test_confusion_csv_layout():
     cm = confusion_matrix([0, 1, 1], [0, 1, 0], 2, ("x", "y"))
-    path = tmp_path / "cm.csv"
-    confusion_to_csv(cm, path)
-    lines = path.read_text().strip().splitlines()
+    lines = confusion_to_csv(cm).strip().splitlines()
     assert lines[0] == "true\\pred,x,y"
     assert lines[1] == "x,1,0"
     assert lines[2] == "y,1,1"
 
 
-def test_roc_csv_columns(tmp_path):
+def test_roc_csv_columns():
     curve = roc_curve([0.9, 0.1], [1, 0], 1)
-    path = tmp_path / "roc.csv"
-    roc_to_csv(curve, path)
-    lines = path.read_text().strip().splitlines()
+    lines = roc_to_csv(curve).strip().splitlines()
     assert lines[0] == "fpr,tpr"
     assert len(lines) == 1 + len(curve.fpr)
 
 
-def test_roc_svg_has_one_polyline_per_class(tmp_path):
+def test_roc_svg_has_one_polyline_per_class():
     labels, scores = sample_report()
-    curves = [roc_curve(scores[:, j], labels, j) for j in range(3)]
-    path = tmp_path / "roc.svg"
-    roc_svg(curves, ("a", "b", "c"), path)
-    svg = path.read_text()
+    svg = roc_svg(sample_curves(labels, scores), ("a", "b", "c"))
     assert svg.count("<polyline") == 3
     assert "AUC=" in svg
     assert svg.startswith("<svg")
 
 
-def test_confusion_svg_has_k_squared_cells(tmp_path):
+def test_confusion_svg_has_k_squared_cells():
     cm = confusion_matrix([0, 1, 2], [0, 1, 2], 3, ("a", "b", "c"))
-    path = tmp_path / "cm.svg"
-    confusion_svg(cm, path)
-    svg = path.read_text()
+    svg = confusion_svg(cm)
     assert svg.count("<rect") == 1 + 9  # background + cells
 
 
-def test_svg_text_escapes_class_names(tmp_path):
+def test_svg_text_escapes_class_names():
     names = ("a&b", "<c>", 'say "d"')
     labels, scores = sample_report()
-    curves = [roc_curve(scores[:, j], labels, j) for j in range(3)]
-    roc_svg(curves, names, tmp_path / "roc.svg")
-    confusion_svg(confusion_matrix([0, 1, 2], [0, 2, 1], 3, names), tmp_path / "cm.svg")
-    for name in ("roc.svg", "cm.svg"):
-        texts = [el.text for el in ET.parse(tmp_path / name).iter("{http://www.w3.org/2000/svg}text")]
+    svgs = (roc_svg(sample_curves(labels, scores), names),
+            confusion_svg(confusion_matrix([0, 1, 2], [0, 2, 1], 3, names)))
+    for svg in svgs:
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
         for class_name in names:
             assert any(text.startswith(class_name) for text in texts)

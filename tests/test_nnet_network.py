@@ -18,6 +18,7 @@ from deepbrainnet.nnet import (
     param_count,
     predict,
     save_checkpoint,
+    softmax,
     softmax_cross_entropy,
 )
 from deepbrainnet.nnet import network as network_module
@@ -112,7 +113,7 @@ def test_chunked_predict_equals_one_whole_forward_at_224_px():
     net = build_deepbrainnet_mini(224, 4, seed=31)
     for n in (1, 2, CHUNK_224 + 1):  # the last leaves a one-image tail chunk
         x = Prng(32 + n).uniforms((n, 3, 224, 224))
-        whole = net.softmax.forward(net.forward_logits(x, training=False))
+        whole = softmax(net.forward_logits(x, training=False))
         assert np.array_equal(predict(net, x), whole), n
 
 
@@ -212,7 +213,7 @@ def test_full_network_gradient_check():
         if net.relu_kink_margin(x) > 1e-3:
             break
     labels = np.array([1, 3])
-    worst = gradient_check(net, (x, labels), max_params_per_array=60)
+    worst = gradient_check(net, (x, labels))
     assert worst < 1e-4
 
 
@@ -365,7 +366,7 @@ def test_step_split_tool_times_every_named_layer(capsys):
     assert tool["main"](["--size", "16", "--batch", "2", "--steps", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     net = build_deepbrainnet_mini(16, 4)
-    for name, _ in net.named_layers()[:-1]:  # all but head.softmax, which a step never runs
+    for name, _ in net.named_layers():
         assert report[f"{name}.forward"] >= 0.0 and report[f"{name}.backward"] >= 0.0
     assert report["step_s"] > 0.0
 

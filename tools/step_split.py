@@ -61,7 +61,6 @@ def main(argv=None) -> int:
             seconds[name.removeprefix("nnet.")][int(run_id) - 1] += end - start
     report = {"size": args.size, "batch": args.batch, "steps": args.steps,
               "step_s": statistics.median(seconds.pop("step"))}
-    # head.softmax never runs: the loss takes the logits
     report.update({name: statistics.median(values) for name, values in seconds.items()})
     print(json.dumps(report))
     return 0
