@@ -105,8 +105,30 @@ def _preprocessed_manifest(config: RunConfig) -> DatasetManifest:
 
 
 def _split(config: RunConfig, manifest: DatasetManifest):
+    """(train, val) manifests and a SHA-256 over their entries, train's first."""
     spec = SplitSpec(config.train_fraction, stage_seed(config.seed, "split"))
-    return split_manifest(manifest, spec)
+    train_manifest, val_manifest = split_manifest(manifest, spec)
+    digest = hashlib.sha256()
+    for side, part in (("train", train_manifest), ("val", val_manifest)):
+        for rel_path, class_index in part.entries:
+            digest.update(f"{side},{rel_path},{class_index}\n".encode())
+    return train_manifest, val_manifest, digest.hexdigest()
+
+
+def _check_split(config: RunConfig, split_sha256: str) -> None:
+    """Raise if train's run record names another split than this config makes.
+
+    Without a record (a checkpoint written by `save_checkpoint` alone) there is
+    nothing to compare, and no check.
+    """
+    path = os.path.join(config.output_dir, "runrecord_train.txt")
+    if not os.path.isfile(path):
+        return
+    with open(path, encoding="utf-8") as fh:
+        recorded = [line.split(": ", 1)[1].strip() for line in fh if line.startswith("split_sha256: ")]
+    if recorded and recorded[0] != split_sha256:
+        raise DatasetError("the validation split differs from the one train used "
+                           "(seed or train_fraction changed since train); rerun train")
 
 
 def _mask_path(config: RunConfig, rel_path: str) -> str:
@@ -156,11 +178,12 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_run_record(config: RunConfig, command: str, durations: dict, artifacts: list[str]) -> None:
-    """Plain-text key: value record plus a digest per artifact."""
-    lines = [f"command: {command}", f"tool_version: {__version__}"]
-    for stage, seconds in durations.items():
-        lines.append(f"duration_s.{stage}: {seconds:.3f}")
+def _write_run_record(config: RunConfig, command: str, seconds: float, record: dict[str, str],
+                      artifacts: list[str]) -> None:
+    """Plain-text key: value record: the total seconds, the command's own lines, the
+    config, and a digest per artifact."""
+    lines = [f"command: {command}", f"tool_version: {__version__}", f"duration_s.total: {seconds:.3f}"]
+    lines += [f"{key}: {value}" for key, value in record.items()]
     for line in config.to_text().splitlines():
         key, _, value = line.partition(" = ")
         lines.append(f"config.{key}: {value}")
@@ -172,12 +195,12 @@ def _write_run_record(config: RunConfig, command: str, durations: dict, artifact
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns the artifacts it wrote and its stage seconds
-# beyond the total; main times it and writes the run record
+# Commands: each returns the artifacts it wrote and its own run-record
+# lines; main times it and writes the run record
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+def cmd_synth(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = generate_synthetic_dataset(
         config.dataset_root,
         config.synth_per_class,
@@ -201,7 +224,7 @@ def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
     return image
 
 
-def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = scan_dataset(config.dataset_root)
     out_root = _preprocessed_dir(config)
     written = []
@@ -236,7 +259,7 @@ def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     return artifacts, {}
 
 
-def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = _preprocessed_manifest(config)
     out_root = _fcm_dir(config)
     fcm_seed = stage_seed(config.seed, "fcm")
@@ -282,9 +305,9 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, float]]:
     return artifacts, {}
 
 
-def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = _preprocessed_manifest(config)
-    train_manifest, val_manifest = _split(config, manifest)
+    train_manifest, val_manifest, split_sha256 = _split(config, manifest)
     load_started = time.perf_counter()
     train_planes, train_x, train_y = _load_tensors(config, train_manifest)
     _, val_x, val_y = _load_tensors(config, val_manifest)
@@ -321,10 +344,10 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, float]]:
         f"final train_acc={history.train_acc[-1]:.3f} val_acc={history.val_acc[-1]:.3f}; "
         f"checkpoint at {checkpoint_path}"
     )
-    return artifacts, {"load": load_seconds}
+    return artifacts, {"duration_s.load": f"{load_seconds:.3f}", "split_sha256": split_sha256}
 
 
-def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, float]]:
+def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     checkpoint_path = os.path.join(_train_dir(config), "checkpoint.bin")
     network = load_checkpoint(checkpoint_path)
     manifest = _preprocessed_manifest(config)
@@ -333,7 +356,8 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, float]]:
             f"checkpoint expects {network.n_classes} classes, dataset has "
             f"{len(manifest.class_names)}"
         )
-    _, val_manifest = _split(config, manifest)
+    _, val_manifest, split_sha256 = _split(config, manifest)
+    _check_split(config, split_sha256)
     _, val_x, val_y = _load_tensors(config, val_manifest)
 
     scores = predict(network, val_x)
@@ -444,9 +468,8 @@ def main(argv=None) -> int:
         return cmd_report_demo()
     try:
         started = time.perf_counter()
-        artifacts, stage_seconds = COMMANDS[args.command](config)
-        durations = {"total": time.perf_counter() - started, **stage_seconds}
-        _write_run_record(config, args.command, durations, artifacts)
+        artifacts, record = COMMANDS[args.command](config)
+        _write_run_record(config, args.command, time.perf_counter() - started, record, artifacts)
         return 0
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -2,15 +2,13 @@
 
 Tensors are plain numpy float64 arrays in NCHW order. Convolutions are
 cross-correlations with zero padding; output spatial size is
-floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps, and a
-tap is one small BLAS GEMM per image row of the row-stacked (N, H, C, W)
-view of the input (see `_Conv`); what they return are NCHW views of
-row-stacked arrays, and every layer accepts any memory layout. Each layer
-caches what its backward pass needs, accumulates parameter gradients into its
-own buffers, and returns the gradient with respect to its input; a
-convolution that reads the network input (`input_grad = False`) returns
-None instead. A stride-1 convolution computes that gradient as a forward
-correlation of the padded output gradient with the flipped kernel.
+floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps on flat
+phase planes of the padded input, a tap being one BLAS GEMM per image (see
+`_Conv`); what they return are NCHW views of those flat arrays, and every
+layer accepts any memory layout. Each layer caches what its backward pass
+needs, accumulates parameter gradients into its own buffers, and returns the
+gradient with respect to its input; a convolution that reads the network
+input (`input_grad = False`) returns None instead.
 """
 
 from __future__ import annotations
@@ -135,60 +133,64 @@ def _kaiming(rng: Prng, shape, fan_in: int) -> np.ndarray:
     return rng.normals(shape, sigma=np.sqrt(2.0 / fan_in))
 
 
-def _window(i: int, j: int, stride: int, oh: int, ow: int):
-    """Index of the padded row-stacked positions that tap (i, j) reads."""
-    return np.s_[:, i : i + stride * oh : stride, :, j : j + stride * ow : stride]
+def _span(top: int, step: int, stride: int, phase: int, size: int, extent: int):
+    """Slices of one axis: the indices y < size whose frame position top + step * y
+    is `phase` mod stride, and the plane rows (< extent) they land on; step or stride is 1."""
+    lo = max(0, -(top // step))  # the first y at a frame position >= 0
+    y0 = lo + (phase - top - step * lo) % stride
+    r0 = (top + step * y0) // stride
+    count = min(len(range(y0, size, stride)), len(range(r0, extent, step)))
+    return slice(y0, y0 + count * stride, stride), slice(r0, r0 + count * step, step)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """Swap the channel and row axes: NCHW <-> row-stacked (N, H, C, W), as a view."""
-    return a.transpose(0, 2, 1, 3)
+def _planes(a: np.ndarray, top: int, step: int, stride: int, rows: int, cols: int) -> np.ndarray:
+    """NCHW `a` placed `step` apart from (top, top) in a zeroed frame, as (stride, stride,
+    N, C, rows, cols) phase planes: frame position (u, v) is (u // stride, v // stride)
+    of plane (u % stride, v % stride). Values that fall outside the planes are dropped."""
+    planes = np.zeros((stride, stride, *a.shape[:2], rows, cols))
+    for pi, pj in np.ndindex(stride, stride):
+        ys, rs = _span(top, step, stride, pi, a.shape[2], rows)
+        xs, qs = _span(top, step, stride, pj, a.shape[3], cols)
+        planes[pi, pj, :, :, rs, qs] = a[:, :, ys, xs]
+    return planes
 
 
-def _padded_rows(a: np.ndarray, p: int) -> np.ndarray:
-    """Row-stacked NCHW `a`, zero-padded by p on each spatial side (cropped by -p if p < 0)."""
-    rows = _rows(a)
-    if p <= 0:
-        return rows[:, -p : rows.shape[1] + p, :, -p : rows.shape[3] + p]
-    n, h, c, w = rows.shape
-    padded = np.zeros((n, h + 2 * p, c, w + 2 * p))
-    padded[:, p : p + h, :, p : p + w] = rows
-    return padded
+def _tap(planes: np.ndarray, i: int, j: int, rows: int) -> np.ndarray:
+    """Tap (i, j)'s (N, C, rows * cols) slice: plane (i % s, j % s) from (i // s) * cols + j // s."""
+    s, _, n, c, extent, cols = planes.shape
+    start = i // s * cols + j // s
+    return planes[i % s, j % s].reshape(n, c, extent * cols)[:, :, start : start + rows * cols]
 
 
-def _tap_sum(product, weight: np.ndarray, padded: np.ndarray, window) -> np.ndarray:
-    """Sum over the taps (i, j), in row-major order, of product(weight[i, j], padded[window(i, j)])."""
-    out = part = None
-    for i, j in np.ndindex(weight.shape[:2]):
-        part = product(weight[i, j], padded[window(i, j)], out=part)
-        if out is None:
-            out, part = part, None
-        else:
-            out += part
+def _tap_sum(product, weight: np.ndarray, tap) -> np.ndarray:
+    """Sum over the taps (i, j), in row-major order, of product(weight[i, j], tap(i, j))."""
+    out, part = product(weight[0, 0], tap(0, 0)), None
+    for i, j in list(np.ndindex(weight.shape[:2]))[1:]:
+        part = product(weight[i, j], tap(i, j), out=part)
+        out += part
     return out
 
 
 class _Conv(Layer):
     """Zero-padded strided cross-correlation as one loop over the K x K taps.
 
-    The taps work on the row-stacked view (N, H, C, W) of the padded input,
-    in which every image row is a (C, W) matrix. A dense tap's output rows are
-    then `W_ij @ window`: one (O x C)(C x OW) BLAS GEMM per output row, reading
-    the strided window in place, with no im2col buffer. Backward follows the
-    same pattern: dW_ij sums `g_rows @ window^T` over the rows. At stride 1 the
-    input gradient is the forward tap loop run on the output gradient,
-    zero-padded by K - 1 - p, with the kernel flipped: tap (i, j) multiplies
-    `W_ij^T` into the window of tap (K-1-i, K-1-j) (the transposed-convolution
-    identity of Dumoulin & Visin, arXiv:1603.07285). The taps run in the
-    order a scatter would add them, so every input position sums the same
-    products in the same order as the scatter. At larger strides the windows
-    of a zeroed padded buffer gain `W_ij^T @ g_rows` tap by tap. A layer whose
-    `input_grad` is False, such as a network's first convolution, skips the
-    input gradient and returns None. Outputs and input gradients are NCHW
-    views of row-stacked arrays, so a chain of convolutions never copies to
-    change layout. Subclasses fix the stored weight shape, which `_taps` views
-    tap-first; `DepthwiseConv2d` replaces the three per-tap products with
-    broadcast multiplies.
+    `_planes` cuts the padded input into s x s phase planes (one at stride 1)
+    of width cols = OW + (K - 1) // s, flattened per image. Tap (i, j) reads
+    plane (i % s, j % s) from offset (i // s) * cols + j // s as one
+    contiguous (C, OH * cols) slice, so a dense tap is one GEMM per image with
+    no im2col buffer (the accumulating kn2row form, Anderson et al.,
+    arXiv:1709.03395). The cols - OW columns at the end of each output row
+    wrap into the next row, and the returned view drops them. Backward copies
+    the output gradient into the same flat shape with those columns zeroed:
+    dW_ij is one GEMM per image over tap (i, j)'s slice, and the bias gradient
+    sums that buffer, whatever the incoming layout. The input gradient of
+    every stride is the same tap loop over the output gradient spread s apart
+    in a zeroed frame at K - 1 - p, with the kernel flipped (Dumoulin &
+    Visin, arXiv:1603.07285): tap (i, j) multiplies `W_ij^T` into the slice
+    of tap (K-1-i, K-1-j), so each input position adds its products in a
+    scatter's order. `input_grad = False` skips it. Subclasses fix the stored
+    weight shape, which `_taps` views tap-first; `DepthwiseConv2d` replaces
+    the two per-tap products with broadcast multiplies.
     """
 
     input_grad = True
@@ -196,6 +198,8 @@ class _Conv(Layer):
     def __init__(self, c_in, c_out, weight_shape, kernel, stride, padding, rng):
         if kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
+        if stride < 1 or padding < 0:
+            raise ValueError(f"need stride >= 1 and padding >= 0, got stride {stride}, padding {padding}")
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = int(np.prod(weight_shape[1:]))
@@ -206,16 +210,13 @@ class _Conv(Layer):
         """The weight (or its gradient) viewed as (K, K, channel axes...)."""
         return np.moveaxis(a, (-2, -1), (0, 1))
 
-    # the three per-tap products; rows are (N, OH, C, OW), g_rows (N, OH, O, OW)
+    # the two per-tap products; x_flat is a tap's (N, C, L) slice, g_flat (N, O, L)
 
-    def _tap_output(self, w_ij, rows, out=None):
-        return np.matmul(w_ij, rows, out=out)
+    def _tap_output(self, w_ij, x_flat, out=None):
+        return np.matmul(w_ij, x_flat, out=out)
 
-    def _tap_weight_grad(self, g_rows, rows):
-        return (g_rows @ rows.swapaxes(-1, -2)).sum(axis=(0, 1))
-
-    def _tap_input_grad(self, w_ij, g_rows, out=None):
-        return np.matmul(w_ij.T, g_rows, out=out)
+    def _tap_weight_grad(self, g_flat, x_flat):
+        return (g_flat @ x_flat.swapaxes(-1, -2)).sum(axis=0)
 
     def forward(self, x, training=False, rng=None):
         x = as_tensor4(x)
@@ -224,35 +225,33 @@ class _Conv(Layer):
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = _conv_out_size(h, k, s, p), _conv_out_size(w, k, s, p)
-        xr = _padded_rows(x, p)
+        self._cache = None  # the last call's planes go before this call's are built
+        # one spare row: the last taps' slices run (K - 1) // s past the last output row
+        reach = (k - 1) // s
+        planes = _planes(x, p, 1, s, oh + reach + 1, ow + reach)
         weight = np.ascontiguousarray(self._taps(self.w))
-        out = _tap_sum(self._tap_output, weight, xr, lambda i, j: _window(i, j, s, oh, ow))
+        out = _tap_sum(self._tap_output, weight, lambda i, j: _tap(planes, i, j, oh))
         out += self.b[:, None]
-        self._cache = (xr, h, w, oh, ow)
-        return _rows(out)
+        self._cache = (planes, h, w)
+        return out.reshape(n, self.c_out, oh, ow + reach)[..., :ow]
 
     def backward(self, grad):
-        xr, h, w, oh, ow = self._cache
+        planes, h, w = self._cache
         k, s, p = self.kernel, self.stride, self.padding
-        g_rows = _rows(grad)
+        oh = grad.shape[2]
+        g_flat = _tap(_planes(grad, 0, 1, 1, oh, planes.shape[-1]), 0, 0, oh)
         dweight = self._taps(self.dw)
         for i, j in np.ndindex(k, k):
-            dweight[i, j] += self._tap_weight_grad(g_rows, xr[_window(i, j, s, oh, ow)])
-        self.db += grad.sum(axis=(0, 2, 3))
+            dweight[i, j] += self._tap_weight_grad(g_flat, _tap(planes, i, j, oh))
+        self.db += g_flat.sum(axis=(0, 2))
+        del g_flat  # so that it and the input-gradient frame are never held together
         if not self.input_grad:
             return None
+        frame = _planes(grad, k - 1 - p, s, 1, h + k, w + k - 1)
         weight = np.ascontiguousarray(self._taps(self.w))
-        if s == 1:
-            # correlate the output gradient, padded by K - 1 - p, with the flipped kernel
-            dx = _tap_sum(self._tap_input_grad, weight, _padded_rows(grad, k - 1 - p),
-                          lambda i, j: _window(k - 1 - i, k - 1 - j, 1, h, w))
-            return _rows(dx)
-        dxr = np.zeros_like(xr)
-        part = None
-        for i, j in np.ndindex(k, k):
-            part = self._tap_input_grad(weight[i, j], g_rows, out=part)
-            dxr[_window(i, j, s, oh, ow)] += part
-        return _rows(dxr[:, p : p + h, :, p : p + w])
+        dx = _tap_sum(lambda w_ij, g_flat, out=None: self._tap_output(w_ij.T, g_flat, out=out), weight,
+                      lambda i, j: _tap(frame, k - 1 - i, k - 1 - j, h))
+        return dx.reshape(grad.shape[0], self.c_in, h, w + k - 1)[..., :w]
 
 
 class Conv2d(_Conv):
@@ -270,14 +269,12 @@ class DepthwiseConv2d(_Conv):
     def __init__(self, channels, kernel, stride=1, padding=0, rng: Prng | None = None):
         super().__init__(channels, channels, (channels, kernel, kernel), kernel, stride, padding, rng)
 
-    def _tap_output(self, w_ij, rows, out=None):
-        return np.multiply(w_ij[:, None], rows, out=out)
+    def _tap_output(self, w_ij, x_flat, out=None):
+        return np.multiply(w_ij[:, None], x_flat, out=out)
 
-    def _tap_weight_grad(self, g_rows, rows):
-        return np.einsum("nhcw,nhcw->c", g_rows, rows)
+    def _tap_weight_grad(self, g_flat, x_flat):
+        return np.einsum("ncl,ncl->c", g_flat, x_flat)
 
-    def _tap_input_grad(self, w_ij, g_rows, out=None):
-        return np.multiply(w_ij[:, None], g_rows, out=out)
 
 
 class PointwiseConv2d(_Conv):
@@ -414,8 +411,5 @@ class ResidualBlock(Layer):
 
     def backward(self, grad):
         grad_sum = self.relu2.backward(grad)
-        grad_branch = self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
-        # into the fresh skip gradient, not into conv1's row-stacked one: the bias sums
-        # upstream add in memory order, so the returned array's layout fixes their rounding
-        grad_sum += grad_branch
+        grad_sum += self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
         return grad_sum

@@ -564,6 +564,19 @@ def test_run_record_digests_verify(tmp_path):
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_evaluate_after_a_changed_seed_is_data_error(tmp_path, capsys):
+    """A new seed makes a new split, whose validation side holds training images."""
+    out, cfg = pipeline(tmp_path)
+    record = (out / "runrecord_train.txt").read_text()
+    assert re.search(r"^split_sha256: [0-9a-f]{64}$", record, re.MULTILINE)
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg, "--seed", "12") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: the validation split differs") and err.count("\n") == 1
+    (out / "runrecord_train.txt").unlink()  # no record, as after save_checkpoint alone: no check
+    assert run("evaluate", "--config", cfg, "--seed", "12") == 0
+
+
 def test_evaluate_rejects_class_count_mismatch(tmp_path, capsys):
     out, cfg = pipeline(tmp_path)
     # keep only ring and stripe (renumbered 0 and 1) in the manifest -> checkpoint expects 4

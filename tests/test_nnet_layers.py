@@ -115,6 +115,17 @@ def test_conv_rejects_even_kernel():
         Conv2d(1, 1, kernel=2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Conv2d(1, 1, kernel=3, stride=0),
+    lambda: Conv2d(1, 1, kernel=3, padding=-1),
+    lambda: DepthwiseConv2d(2, kernel=3, stride=-1),
+    lambda: DepthwiseConv2d(2, kernel=3, padding=-2),
+], ids=["conv-stride-0", "conv-padding--1", "depthwise-stride--1", "depthwise-padding--2"])
+def test_conv_rejects_stride_below_1_and_negative_padding(make):
+    with pytest.raises(ValueError, match="stride >= 1 and padding >= 0"):
+        make()
+
+
 @pytest.mark.parametrize("shape,stride,padding", [
     ((2, 2, 5, 5), 1, 1),
     ((1, 3, 6, 6), 2, 1),
@@ -140,17 +151,34 @@ def test_wide_stride_1_conv_input_gradient_matches_finite_differences(shape, ker
 
 
 def scatter_input_grad(layer, x, grad):
-    """Stride-1 input gradient as a scatter: a zeroed padded buffer whose tap
-    windows gain W_ij^T @ g_rows, one tap after another in row-major order."""
+    """Input gradient as a scatter: each tap's W_ij^T @ grad, computed per output
+    row, is added into the tap's strided window of a zeroed padded buffer, one
+    tap after another in row-major order."""
     n, c, h, w = x.shape
-    k, p = layer.kernel, layer.padding
+    k, s, p = layer.kernel, layer.stride, layer.padding
     oh, ow = grad.shape[2:]
-    weight = np.ascontiguousarray(layer._taps(layer.w))
-    g_rows = grad.transpose(0, 2, 1, 3)
-    dxr = np.zeros((n, h + 2 * p, c, w + 2 * p))
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
     for i, j in np.ndindex(k, k):
-        dxr[:, i : i + oh, :, j : j + ow] += layer._tap_input_grad(weight[i, j], g_rows)
-    return dxr[:, p : p + h, :, p : p + w].transpose(0, 2, 1, 3)
+        if isinstance(layer, DepthwiseConv2d):
+            part = layer.w[:, i, j][:, None, None] * grad
+        else:
+            w_ij = np.ascontiguousarray(layer.w[:, :, i, j])
+            part = np.matmul(w_ij.T, grad.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += part
+    return dxp[:, :, p : p + h, p : p + w]
+
+
+def assert_input_gradient_equals_the_scatter(kind, shape, kernel, stride, padding):
+    rng = Prng(sum(shape) + kernel)
+    c = shape[1]
+    if kind == "conv2d":
+        layer = Conv2d(c, 8 if c == 8 else 5, kernel=kernel, stride=stride, padding=padding, rng=rng)
+    else:
+        layer = DepthwiseConv2d(c, kernel=kernel, stride=stride, padding=padding, rng=rng)
+    x = rng.normals(shape)
+    out = layer.forward(x)
+    grad = rng.normals(out.shape)
+    assert np.array_equal(layer.backward(grad), scatter_input_grad(layer, x, grad))
 
 
 @pytest.mark.parametrize("kind,shape,kernel,padding", [
@@ -162,34 +190,43 @@ def scatter_input_grad(layer, x, grad):
     ("depthwise", (2, 5, 9, 12), 5, 2),
 ])
 def test_stride_1_input_gradient_equals_the_scatter_bit_for_bit(kind, shape, kernel, padding):
-    """The flipped-kernel correlation adds each input position's products in the scatter's order."""
-    rng = Prng(sum(shape) + kernel)
-    c = shape[1]
-    if kind == "conv2d":
-        # 8 -> 8 at 112 px is a residual block's conv at 224 px input; the others change width
-        layer = Conv2d(c, 8 if c == 8 else 5, kernel=kernel, padding=padding, rng=rng)
-    else:
-        layer = DepthwiseConv2d(c, kernel=kernel, padding=padding, rng=rng)
-    x = rng.normals(shape)
-    out = layer.forward(x)
-    grad = rng.normals(out.shape)
-    assert np.array_equal(layer.backward(grad), scatter_input_grad(layer, x, grad))
+    """The flipped-kernel tap loop adds each input position's products in the scatter's order.
+
+    8 -> 8 at 112 px is a residual block's conv at 224 px input; the other convs change width.
+    """
+    assert_input_gradient_equals_the_scatter(kind, shape, kernel, 1, padding)
 
 
-def reference_conv(x, w, b, stride, padding):
-    """Direct nested-sum cross-correlation with a dense (O, C, K, K) kernel."""
+@pytest.mark.parametrize("kind,shape,kernel,padding", [
+    ("conv2d", (2, 3, 32, 32), 3, 1),
+    ("conv2d", (2, 4, 9, 12), 5, 1),
+    ("depthwise", (6, 8, 112, 112), 3, 1),
+    ("depthwise", (2, 5, 10, 9), 3, 0),
+])
+def test_stride_2_input_gradient_equals_the_scatter_bit_for_bit(kind, shape, kernel, padding):
+    """As at stride 1, over the output gradient spread 2 apart; 8 channels at 112 px is
+    branch_b.1's depthwise stage at 224 px input."""
+    assert_input_gradient_equals_the_scatter(kind, shape, kernel, 2, padding)
+
+
+def reference_conv(x, w, b, stride, padding, grad):
+    """Direct nested-sum cross-correlation with a dense (O, C, K, K) kernel, and the
+    weight and bias gradients for an output gradient `grad`."""
     n, c, h, wd = x.shape
     o, _, k, _ = w.shape
     xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
     xp[:, :, padding : padding + h, padding : padding + wd] = x
     oh, ow = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
     out = np.zeros((n, o, oh, ow))
+    dw, db = np.zeros_like(w), np.zeros_like(b)
     for img, oc, y, xo in np.ndindex(n, o, oh, ow):
         total = b[oc]
         for ci, i, j in np.ndindex(c, k, k):
             total += w[oc, ci, i, j] * xp[img, ci, y * stride + i, xo * stride + j]
+            dw[oc, ci, i, j] += grad[img, oc, y, xo] * xp[img, ci, y * stride + i, xo * stride + j]
         out[img, oc, y, xo] = total
-    return out
+        db[oc] += grad[img, oc, y, xo]
+    return out, dw, db
 
 
 @pytest.mark.parametrize("kind,stride,padding", [
@@ -199,6 +236,7 @@ def reference_conv(x, w, b, stride, padding):
 ])
 @pytest.mark.parametrize("strided_view", [False, True], ids=["contiguous", "view"])
 def test_conv_forward_matches_nested_sum_reference(kind, stride, padding, strided_view):
+    """The output, and the weight and bias gradients, against the nested sums."""
     rng = Prng(21)
     if kind == "conv2d":
         layer = Conv2d(3, 4, kernel=3, stride=stride, padding=padding, rng=rng)
@@ -219,8 +257,37 @@ def test_conv_forward_matches_nested_sum_reference(kind, stride, padding, stride
         buffer[:, ::2, ::2, :] = x.transpose(0, 3, 2, 1)
         x = buffer[:, ::2, ::2, :].transpose(0, 3, 2, 1)
         assert not x.flags.c_contiguous
-    expected = reference_conv(x, dense, layer.b, stride, padding)
-    assert np.abs(layer.forward(x) - expected).max() < 1e-12
+    out = layer.forward(x)
+    grad = rng.normals(out.shape)
+    expected, dw, db = reference_conv(x, dense, layer.b, stride, padding, grad)
+    assert np.abs(out - expected).max() < 1e-12
+    layer.backward(grad)
+    if kind == "depthwise":
+        dw = np.stack([dw[ch, ch] for ch in range(3)])
+    assert np.abs(layer.dw - dw.reshape(layer.dw.shape)).max() < 1e-12
+    assert np.abs(layer.db - db).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "depthwise"])
+def test_conv_parameter_gradients_ignore_the_output_gradient_layout(kind):
+    """The bias and weight gradients sum the same values in the same order for any layout."""
+    rng = Prng(27)
+    if kind == "conv2d":
+        layer = Conv2d(4, 5, kernel=3, stride=1, padding=1, rng=rng)
+    else:
+        layer = DepthwiseConv2d(4, kernel=3, stride=2, padding=1, rng=rng)
+    x = rng.normals((3, 4, 9, 11))
+    grad = rng.normals(layer.forward(x).shape)
+    # the same values, laid out channels-last
+    permuted = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    found = []
+    for g in (grad, permuted):
+        layer.zero_grads()
+        layer.forward(x)
+        layer.backward(g)
+        found.append((layer.dw.copy(), layer.db.copy()))
+    assert np.array_equal(found[0][0], found[1][0])
+    assert np.array_equal(found[0][1], found[1][1])
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ def test_a_poisoned_later_micro_batch_never_reaches_adam(monkeypatch):
 def test_seeded_train_at_32_px_pins_its_weights():
     """At 32 px a batch of 32 is one micro-batch, so the weights stay those of one pass.
 
-    The digest was computed with the whole-batch step that micro-batching
-    replaced, on numpy 2.4 with OpenBLAS 0.3.31; another BLAS build may round
-    the GEMMs differently.
+    The digest was computed with the flat-plane weight gradients (one GEMM per
+    image over each tap's slice), on numpy 2.4 with OpenBLAS 0.3.31; another
+    BLAS build may round the GEMMs differently.
     """
     x, y = toy_dataset(Prng(41), n_per_class=16, size=32)
     train_idx = [i for i in range(len(y)) if i % 4 != 0]  # 36 images: batches of 32 and 4
@@ -192,7 +192,7 @@ def test_seeded_train_at_32_px_pins_its_weights():
     train(net, (x[train_idx], y[train_idx]), (x[val_idx], y[val_idx]),
           TrainConfig(epochs=2, batch_size=32, seed=43))
     digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
-    assert digest == "3bb1b0d43f76b374369b78c2c3fa240726673358c820e8c7723ea7d0fd3e025b"
+    assert digest == "6cc52bbc34951783813468935b970cb616493e662d336346ea7fbe9d61b26520"
 
 
 def test_empty_dataset_rejected():
