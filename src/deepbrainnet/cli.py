@@ -115,20 +115,44 @@ def _split(config: RunConfig, manifest: DatasetManifest):
     return train_manifest, val_manifest, digest.hexdigest()
 
 
-def _check_split(config: RunConfig, split_sha256: str) -> None:
-    """Raise if train's run record names another split than this config makes.
+def _images_sha256(manifest: DatasetManifest) -> str:
+    """SHA-256 over each image's path and bytes, in manifest order."""
+    digest = hashlib.sha256()
+    for rel_path, _ in manifest.entries:
+        with open(manifest.full_path(rel_path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel_path},{len(data)}\n".encode() + data)
+    return digest.hexdigest()
 
-    Without a record (a checkpoint written by `save_checkpoint` alone) there is
-    nothing to compare, and no check.
+
+def _recorded(config: RunConfig, command: str, key: str) -> str | None:
+    """The value of `key` in the command's run record; None without one.
+
+    With no record or no such line (a checkpoint written by `save_checkpoint`
+    alone, an fcm record older than `images_sha256`) there is nothing to
+    compare, and the checks below pass.
     """
-    path = os.path.join(config.output_dir, "runrecord_train.txt")
+    path = os.path.join(config.output_dir, f"runrecord_{command}.txt")
     if not os.path.isfile(path):
-        return
+        return None
     with open(path, encoding="utf-8") as fh:
-        recorded = [line.split(": ", 1)[1].strip() for line in fh if line.startswith("split_sha256: ")]
-    if recorded and recorded[0] != split_sha256:
+        return next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
+
+
+def _check_split(config: RunConfig, split_sha256: str) -> None:
+    """Raise if train's run record names another split than this config makes."""
+    if _recorded(config, "train", "split_sha256") not in (None, split_sha256):
         raise DatasetError("the validation split differs from the one train used "
                            "(seed or train_fraction changed since train); rerun train")
+
+
+def _check_masks(config: RunConfig, manifest: DatasetManifest) -> None:
+    """Raise if masks are on and fcm's run record names other images than the
+    preprocessed ones: its masks were computed from an earlier preprocess run."""
+    recorded = _recorded(config, "fcm", "images_sha256") if config.fcm_mask_enabled else None
+    if recorded is not None and recorded != _images_sha256(manifest):
+        raise DatasetError("the preprocessed images differ from the ones fcm segmented "
+                           "(preprocess ran again since fcm); rerun fcm")
 
 
 def _mask_path(config: RunConfig, rel_path: str) -> str:
@@ -152,13 +176,14 @@ def _load_gray(config: RunConfig, manifest: DatasetManifest, rel_path: str) -> G
 
 
 def _to_tensor(planes: np.ndarray) -> np.ndarray:
-    """(N, 3, H, W) float64 in [0, 1]: (N, H, W) gray planes normalized then channel-stacked.
+    """(N, 3, H, W) float32 in [0, 1], the dtype the CLI's network computes in:
+    (N, H, W) gray planes normalized then channel-stacked.
 
     Written in place: a float copy of the planes beside the result would add
-    N * H * W * 8 bytes to the peak (4.8 MB for 12 images at 224 px).
+    N * H * W * 4 bytes to the peak (2.4 MB for 12 images at 224 px).
     """
-    tensor = np.empty((planes.shape[0], 3, *planes.shape[1:]))
-    np.divide(planes, 255.0, out=tensor[:, 0])
+    tensor = np.empty((planes.shape[0], 3, *planes.shape[1:]), dtype=np.float32)
+    np.divide(planes, 255.0, out=tensor[:, 0], dtype=np.float32)
     tensor[:, 1:] = tensor[:, :1]
     return tensor
 
@@ -302,11 +327,12 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
                  f"{np.median(iterations):g} max {max(iterations)}, "
                  f"gray levels median {np.median(level_counts):g}")
     print(line)
-    return artifacts, {}
+    return artifacts, {"images_sha256": _images_sha256(manifest)}
 
 
 def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = _preprocessed_manifest(config)
+    _check_masks(config, manifest)
     train_manifest, val_manifest, split_sha256 = _split(config, manifest)
     load_started = time.perf_counter()
     train_planes, train_x, train_y = _load_tensors(config, train_manifest)
@@ -319,6 +345,7 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         seed=stage_seed(config.seed, "init"),
         dropout_rate=config.dropout_rate,
         base_channels=config.base_channels,
+        dtype=np.float32,
     )
     train_config = config.train_config(stage_seed(config.seed, "train"))
     augment_fn = None
@@ -358,6 +385,7 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         )
     _, val_manifest, split_sha256 = _split(config, manifest)
     _check_split(config, split_sha256)
+    _check_masks(config, manifest)
     _, val_x, val_y = _load_tensors(config, val_manifest)
 
     scores = predict(network, val_x)

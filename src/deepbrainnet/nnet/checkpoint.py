@@ -12,6 +12,9 @@ Layout (all integers little-endian):
     per array:    kind code u8, ndim u8, then ndim u32 dimensions
     then          every parameter as f32, flattened C-order, in declaration order
 
+The file holds exactly the float32 model that `train` computed with, and
+loading builds a float32 network, so a reloaded model predicts as the one
+that was saved. A float64 network is rounded to float32 when saved.
 Loading rejects a parameter value that is NaN or infinite. A sidecar CSV
 (same path + ".layers.csv") lists layer names, kinds, parameter names, and
 shapes for inspection.
@@ -119,7 +122,8 @@ def load_checkpoint(path) -> Network:
     pos = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")  # rewound: arrays claim it below
 
     network = build_deepbrainnet_mini(
-        input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels
+        input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels,
+        dtype=np.float32,
     )
     records = _param_records(network)
     if len(records) != n_arrays:
@@ -137,7 +141,7 @@ def load_checkpoint(path) -> Network:
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(values).all():
             raise CheckpointError(f"non-finite value in {name}.{pname} of {path!r}")
-        param[...] = values.astype(np.float64).reshape(dims)
+        param[...] = values.reshape(dims)
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")
     return network

@@ -1,8 +1,9 @@
 """Network layers with explicit forward and backward passes.
 
-Tensors are plain numpy float64 arrays in NCHW order. Convolutions are
-cross-correlations with zero padding; output spatial size is
-floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps on flat
+Tensors are plain numpy arrays in NCHW order, in the weights' dtype: every
+layer with weights casts its input to them, and the rest keep theirs.
+Convolutions are cross-correlations with zero padding; output spatial size
+is floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps on flat
 phase planes of the padded input, a tap being one BLAS GEMM per image (see
 `_Conv`); what they return are NCHW views of those flat arrays, and every
 layer accepts any memory layout. Each layer caches what its backward pass
@@ -22,8 +23,9 @@ import numpy as np
 from ..rng import Prng
 
 
-def as_tensor4(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+def as_tensor4(x, dtype=None) -> np.ndarray:
+    """x as a 4-D array of `dtype`; None keeps x's own."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 4:
         raise ValueError(f"expected a 4-D (batch, channels, height, width) tensor, got shape {arr.shape}")
     return arr
@@ -147,7 +149,7 @@ def _planes(a: np.ndarray, top: int, step: int, stride: int, rows: int, cols: in
     """NCHW `a` placed `step` apart from (top, top) in a zeroed frame, as (stride, stride,
     N, C, rows, cols) phase planes: frame position (u, v) is (u // stride, v // stride)
     of plane (u % stride, v % stride). Values that fall outside the planes are dropped."""
-    planes = np.zeros((stride, stride, *a.shape[:2], rows, cols))
+    planes = np.zeros((stride, stride, *a.shape[:2], rows, cols), dtype=a.dtype)
     for pi, pj in np.ndindex(stride, stride):
         ys, rs = _span(top, step, stride, pi, a.shape[2], rows)
         xs, qs = _span(top, step, stride, pj, a.shape[3], cols)
@@ -219,7 +221,7 @@ class _Conv(Layer):
         return (g_flat @ x_flat.swapaxes(-1, -2)).sum(axis=0)
 
     def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x)
+        x = as_tensor4(x, self.w.dtype)
         n, c, h, w = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
@@ -307,7 +309,9 @@ class GlobalAvgPool(Layer):
     kind = "global_avg_pool"
 
     def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x)
+        # contiguous first: numpy's pairwise sum adds in memory order, so the
+        # pooled features would otherwise round by the input's layout
+        x = np.ascontiguousarray(as_tensor4(x))
         self._shape = x.shape
         return x.mean(axis=(2, 3))
 
@@ -326,7 +330,7 @@ class Dense(Layer):
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.w.dtype)
         if x.shape[1] != self.features_in:
             raise ValueError(f"expected {self.features_in} features, got {x.shape[1]}")
         self._cache = x
@@ -352,11 +356,11 @@ class Dropout(Layer):
     def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
             self._mask = None
-            return np.asarray(x, dtype=np.float64)
+            return np.asarray(x)
         if rng is None:
             raise ValueError("training-mode dropout needs a Prng")
         keep = rng.uniforms(x.shape) >= self.rate
-        self._mask = keep / (1.0 - self.rate)
+        self._mask = (keep / (1.0 - self.rate)).astype(x.dtype)
         return x * self._mask
 
     def backward(self, grad):
@@ -403,7 +407,7 @@ class ResidualBlock(Layer):
         self.relu2 = ReLU()
 
     def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x)
+        x = as_tensor4(x, self.conv1.w.dtype)
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         residual = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))

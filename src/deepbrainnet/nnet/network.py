@@ -28,7 +28,8 @@ from .layers import (
 )
 
 # Input bytes that inference sends through the branches, and a training step
-# through the whole network, at once: 6 images at 224 px, and over 300 at 32 px.
+# through the whole network, at once: at 224 px 6 images in float64 and 13 in
+# float32, and over 300 at 32 px.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -77,6 +78,11 @@ class Network(Layer):
     def children(self) -> dict[str, Layer]:
         return dict(self.named_layers())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and of what the layers compute."""
+        return self.dense.w.dtype
+
     def iter_layers(self):
         """Every layer, descending into composite blocks."""
 
@@ -122,7 +128,7 @@ class Network(Layer):
     # -- forward / backward -------------------------------------------------
 
     def _checked(self, x) -> np.ndarray:
-        x = as_tensor4(x)
+        x = as_tensor4(x, self.dtype)
         if x.shape[2] != self.input_size or x.shape[3] != self.input_size:
             raise ValueError(
                 f"expected {self.input_size}x{self.input_size} inputs, got {x.shape[2]}x{x.shape[3]}"
@@ -192,7 +198,7 @@ class Network(Layer):
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> None:
         """Accumulate every parameter gradient; the input gradient is not computed."""
-        grad = self.dense.backward(grad_logits)
+        grad = self.dense.backward(grad_logits.astype(self.dtype, copy=False))
         grad = self.dropout.backward(grad)
         ga, gb = grad[:, : self._split], grad[:, self._split :]
         for layer in reversed(self.branch_a):
@@ -206,14 +212,16 @@ class Network(Layer):
 
 
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
-                            dropout_rate: float = 0.3, base_channels: int = 8) -> Network:
+                            dropout_rate: float = 0.3, base_channels: int = 8,
+                            dtype=np.float64) -> Network:
     """Construct the two-branch classifier with seeded Kaiming initialization.
 
     Branch A: stride-2 stem convolution then two residual blocks.
     Branch B: stride-2 ds block then a second stride-2 ds block doubling the
     channel count. Both end in global average pooling; the head sees
     base_channels + 2*base_channels fused features. The two convolutions that
-    read the input compute no input gradient.
+    read the input compute no input gradient. The weights are drawn in
+    float64 and stored in `dtype`, which every layer then computes in.
     """
     if input_size < 16:
         raise ValueError(f"input_size must be >= 16 for the stride plan, got {input_size}")
@@ -240,17 +248,22 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     branch_b[0].depthwise.input_grad = False
     dropout = Dropout(dropout_rate)
     dense = Dense(3 * c, n_classes, rng=rng)
-    return Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
+    network = Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
+    for layer in network.iter_layers():
+        if layer.params:
+            layer._register(layer.w.astype(dtype), layer.b.astype(dtype))
+    return network
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise probabilities of logits, each row shifted by its maximum first."""
+    """Row-wise float64 probabilities of logits, each row shifted by its maximum first."""
+    logits = np.asarray(logits, dtype=np.float64)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size: int | None = None):
-    """Mean cross-entropy over the rows plus its gradient w.r.t. the logits.
+    """Mean cross-entropy over the rows plus its gradient w.r.t. the logits, in float64.
 
     The gradient is divided by `batch_size`, by default the number of rows; a
     micro-batch passes the size of its whole batch, so its gradient rows are

@@ -123,8 +123,8 @@ def train(
     """
     train_x, train_y = train_set
     val_x, val_y = val_set
-    train_x = np.asarray(train_x, dtype=np.float64)
-    val_x = np.asarray(val_x, dtype=np.float64)
+    train_x = np.asarray(train_x)
+    val_x = np.asarray(val_x)
     train_y = np.asarray(train_y, dtype=np.int64)
     val_y = np.asarray(val_y, dtype=np.int64)
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
@@ -157,7 +157,10 @@ def train(
             batch = order[start : start + config.batch_size]
             xb = train_x[batch] if augment_fn is None else augment_fn(batch, epoch)
             yb = train_y[batch]
-            loss, probs = network.train_step(xb, yb, rng)
+            # a diverging float32 run overflows before its loss is checked, here
+            # and in the validation pass; the non-finite loss reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, probs = network.train_step(xb, yb, rng)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite training loss at epoch {epoch}, batch start {start}"
@@ -166,7 +169,8 @@ def train(
             epoch_loss += loss * len(batch)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
 
-        val_loss, val_acc = evaluate_loss(network, val_x, val_y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_loss, val_acc = evaluate_loss(network, val_x, val_y)
         if not np.isfinite(val_loss):
             raise NonFiniteLossError(f"non-finite validation loss at epoch {epoch}")
         history.train_loss.append(epoch_loss / n)

@@ -577,6 +577,25 @@ def test_evaluate_after_a_changed_seed_is_data_error(tmp_path, capsys):
     assert run("evaluate", "--config", cfg, "--seed", "12") == 0
 
 
+def test_masks_of_an_earlier_preprocess_run_are_data_error(tmp_path, capsys):
+    """fcm ran on `blur,clahe` images, preprocess then rewrote them with `hist_eq`."""
+    paths = dict(dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out", fcm_mask_enabled="true")
+    cfg = write_config(tmp_path / "run.cfg", enhancement="blur,clahe", **paths)
+    redo = write_config(tmp_path / "redo.cfg", enhancement="hist_eq", **paths)
+    for command in ("synth", "preprocess", "fcm", "train"):
+        assert run(command, "--config", cfg) == 0, command
+    record = (tmp_path / "out" / "runrecord_fcm.txt").read_text()
+    assert re.search(r"^images_sha256: [0-9a-f]{64}$", record, re.MULTILINE)
+    assert run("preprocess", "--config", redo) == 0
+    capsys.readouterr()
+    for command in ("train", "evaluate"):
+        assert run(command, "--config", redo) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error: the preprocessed images differ") and err.count("\n") == 1
+    (tmp_path / "out" / "runrecord_fcm.txt").unlink()  # no record: no check
+    assert run("train", "--config", redo) == 0
+
+
 def test_evaluate_rejects_class_count_mismatch(tmp_path, capsys):
     out, cfg = pipeline(tmp_path)
     # keep only ring and stripe (renumbered 0 and 1) in the manifest -> checkpoint expects 4

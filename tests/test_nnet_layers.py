@@ -437,6 +437,18 @@ def test_global_avg_pool_and_backward():
     assert np.allclose(grad[0, 1], 2.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_global_avg_pool_rounds_the_same_for_every_layout(dtype):
+    """C-ordered, F-ordered and strided-view inputs of equal values pool bit-equal."""
+    x = Prng(36).normals((3, 4, 23, 29)).astype(dtype)
+    buffer = np.zeros((3, 29, 46, 8), dtype=dtype)
+    buffer[:, :, ::2, ::2] = x.transpose(0, 3, 2, 1)
+    view = buffer[:, :, ::2, ::2].transpose(0, 3, 2, 1)
+    pooled = [GlobalAvgPool().forward(a) for a in (x, np.asfortranarray(x), view)]
+    assert all(p.dtype == dtype for p in pooled)
+    assert np.array_equal(pooled[0], pooled[1]) and np.array_equal(pooled[0], pooled[2])
+
+
 def test_dense_gradients_match_finite_differences():
     rng = Prng(31)
     dense = Dense(6, 4, rng=rng)

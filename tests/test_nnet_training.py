@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from deepbrainnet.nnet import (
+    Adam,
     NonFiniteLossError,
     TrainConfig,
     build_deepbrainnet_mini,
     evaluate_loss,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
     train,
 )
 from deepbrainnet.nnet import network as network_module
@@ -165,6 +169,15 @@ def test_nan_conv_weight_is_a_non_finite_loss():
     _train_until_non_finite(net, train_set, val_set, small_config(epochs=2))
 
 
+def test_float32_overflow_in_the_validation_pass_is_a_non_finite_loss():
+    """With one batch per epoch, the first lr-1e30 step first overflows float32 in the
+    validation forward: a NonFiniteLossError there, not a RuntimeWarning."""
+    train_set, val_set = build_and_split()
+    net = build_deepbrainnet_mini(16, 3, seed=9, dropout_rate=0.0, base_channels=4, dtype=np.float32)
+    with pytest.raises(NonFiniteLossError, match="validation loss at epoch 1"):
+        train(net, train_set, val_set, small_config(epochs=2, batch_size=32, learning_rate=1e30))
+
+
 def test_a_poisoned_later_micro_batch_never_reaches_adam(monkeypatch):
     """Earlier micro-batches of the batch run backward, but no Adam step follows."""
     (train_x, train_y), val_set = build_and_split()
@@ -193,6 +206,45 @@ def test_seeded_train_at_32_px_pins_its_weights():
           TrainConfig(epochs=2, batch_size=32, seed=43))
     digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
     assert digest == "6cc52bbc34951783813468935b970cb616493e662d336346ea7fbe9d61b26520"
+
+
+def test_float32_step_and_adam_update_stay_in_float32():
+    """No array of a float32 step is promoted, under either numpy casting rule (NEP 50 or
+    the value-based one of numpy 1.x); predict still returns float64 probability rows."""
+    net = build_deepbrainnet_mini(16, 3, seed=4, dtype=np.float32)
+    returned = []
+    for layer in net.iter_layers():
+        for name in ("forward", "backward"):
+            def recorded(*args, _pass=getattr(layer, name), **kwargs):
+                result = _pass(*args, **kwargs)
+                if result is not None:  # the input layers return no input gradient
+                    returned.append(result)
+                return result
+            setattr(layer, name, recorded)
+    (x, y), _ = build_and_split()  # float64 inputs, cast by the network
+    config = small_config()
+    optimizer = Adam(net.parameters(), config.beta1, config.beta2, config.adam_epsilon)
+    net.train_step(x, y, Prng(6))
+    optimizer.step(net.gradients(), config.learning_rate)
+    arrays = net.parameters() + net.gradients() + optimizer.m + optimizer.v + returned
+    assert len(returned) > 2 * len(net.named_layers())
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    scores = predict(net, x)
+    assert scores.dtype == np.float64 and np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9
+    reference = build_deepbrainnet_mini(16, 3, dtype=np.float64)  # the same weights, in float64
+    reference.set_weights(net.get_weights())
+    assert np.abs(scores - predict(reference, x)).max() < 1e-5
+
+
+def test_reloaded_float32_checkpoint_predicts_bit_identically(tmp_path):
+    """The checkpoint stores the float32 weights that were trained, and loads as float32."""
+    train_set, val_set = build_and_split()
+    net = build_deepbrainnet_mini(16, 3, seed=7, dtype=np.float32)
+    train(net, train_set, val_set, small_config(epochs=2))
+    save_checkpoint(net, tmp_path / "ck.bin")
+    loaded = load_checkpoint(tmp_path / "ck.bin")
+    assert loaded.dtype == np.float32
+    assert np.array_equal(predict(loaded, val_set[0]), predict(net, val_set[0]))
 
 
 def test_empty_dataset_rejected():

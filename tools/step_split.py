@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/step_split.py --size 224 --batch 32 --steps 3
 
-Builds the seeded untrained network and runs a warm-up step plus `--steps`
-measured steps on seeded uniform inputs. A step is what `train` does per
+Builds the seeded untrained network in float32, as `train` on the command
+line does, and runs a warm-up step plus `--steps` measured steps on seeded
+float32 uniform inputs. A step is what `train` does per
 batch: `Network.train_step` (forward with dropout on, loss gradient and
 backward over each cache-sized micro-batch in turn) and then the Adam update.
 The forward and backward of each `Network.named_layers()` entry, summed over
@@ -42,12 +43,13 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=3)
     args = parser.parse_args(argv)
     tracer = Tracer()
-    network = _instrument_network(tracer, build_deepbrainnet_mini(args.size, 4, seed=SEED))
+    network = build_deepbrainnet_mini(args.size, 4, seed=SEED, dtype=np.float32)
+    network = _instrument_network(tracer, network)
     config = TrainConfig(seed=SEED)
     optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
     adam_step = tracer.traced(optimizer.step, "nnet.adam_step")
     dropout_rng = Prng(SEED)
-    x = np.random.default_rng(SEED).random((args.batch, 3, args.size, args.size))
+    x = np.random.default_rng(SEED).random((args.batch, 3, args.size, args.size), dtype=np.float32)
     labels = np.arange(args.batch) % 4
     for step in range(args.steps + 1):
         tracer.run_id = str(step)
