@@ -388,7 +388,12 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     _check_masks(config, manifest)
     _, val_x, val_y = _load_tensors(config, val_manifest)
 
-    scores = predict(network, val_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a float32 overflow shows as non-finite scores
+        scores = predict(network, val_x)
+    non_finite = int((~np.isfinite(scores).all(axis=1)).sum())
+    if non_finite:
+        raise NonFiniteLossError(f"checkpoint {checkpoint_path!r} overflows float32: {non_finite} of "
+                                 f"{len(scores)} validation score rows are not finite")
     report = classification_report(val_y, scores, class_names=manifest.class_names)
     cm = report.confusion
     curves = [roc_curve(scores[:, j], val_y, j) for j in range(cm.n_classes)]

@@ -190,7 +190,9 @@ class _Conv(Layer):
     in a zeroed frame at K - 1 - p, with the kernel flipped (Dumoulin &
     Visin, arXiv:1603.07285): tap (i, j) multiplies `W_ij^T` into the slice
     of tap (K-1-i, K-1-j), so each input position adds its products in a
-    scatter's order. `input_grad = False` skips it. Subclasses fix the stored
+    scatter's order; a 1 x 1 conv of stride 1 without padding multiplies
+    `W^T` into the copied output gradient, which that frame's one tap would
+    equal. `input_grad = False` skips it. Subclasses fix the stored
     weight shape, which `_taps` views tap-first; `DepthwiseConv2d` replaces
     the two per-tap products with broadcast multiplies.
     """
@@ -246,13 +248,18 @@ class _Conv(Layer):
         for i, j in np.ndindex(k, k):
             dweight[i, j] += self._tap_weight_grad(g_flat, _tap(planes, i, j, oh))
         self.db += g_flat.sum(axis=(0, 2))
-        del g_flat  # so that it and the input-gradient frame are never held together
         if not self.input_grad:
             return None
-        frame = _planes(grad, k - 1 - p, s, 1, h + k, w + k - 1)
         weight = np.ascontiguousarray(self._taps(self.w))
-        dx = _tap_sum(lambda w_ij, g_flat, out=None: self._tap_output(w_ij.T, g_flat, out=out), weight,
-                      lambda i, j: _tap(frame, k - 1 - i, k - 1 - j, h))
+
+        def product(w_ij, g, out=None):
+            return self._tap_output(w_ij.T, g, out=out)
+
+        if (k, s, p) == (1, 1, 0):  # the frame's one tap would hold g_flat's values
+            return product(weight[0, 0], g_flat).reshape(grad.shape[0], self.c_in, h, w)
+        del g_flat  # so that it and the input-gradient frame are never held together
+        frame = _planes(grad, k - 1 - p, s, 1, h + k, w + k - 1)
+        dx = _tap_sum(product, weight, lambda i, j: _tap(frame, k - 1 - i, k - 1 - j, h))
         return dx.reshape(grad.shape[0], self.c_in, h, w + k - 1)[..., :w]
 
 

@@ -28,9 +28,11 @@ from .layers import (
 )
 
 # Input bytes that inference sends through the branches, and a training step
-# through the whole network, at once: at 224 px 6 images in float64 and 13 in
-# float32, and over 300 at 32 px.
-_CHUNK_BYTES = 8 << 20
+# through the whole network, at once: sized so that a chunk's conv planes, tap
+# products and outputs stay in a core's L2 cache. That is one image at 224 px
+# in either dtype, 6 float32 images at 112 px, and 85 float32 or 42 float64
+# images at 32 px, so a batch of 32 is one chunk there.
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_starts(x: np.ndarray) -> tuple[int, range]:
@@ -153,12 +155,12 @@ class Network(Layer):
     def inference_logits(self, x) -> np.ndarray:
         """Logits with dropout disabled, the branches run over cache-sized chunks.
 
-        Each chunk holds about `_CHUNK_BYTES` of input, so a conv's padded
-        input and taps stay near the cache instead of spanning the whole set.
-        The branches treat every image alone, so their features do not depend
-        on the chunk size; the head runs once over all of them, because a
-        one-row chunk would take the BLAS matrix-vector path in `Dense` and
-        round differently.
+        Each chunk holds about `_CHUNK_BYTES` of input (one image at 224 px),
+        so a conv's padded input, taps and output stay in L2 instead of
+        spanning the whole set. The branches treat every image alone, so
+        their features do not depend on the chunk size; the head runs once
+        over all of them, because a one-row chunk would take the BLAS
+        matrix-vector path in `Dense` and round differently.
         """
         x = self._checked(x)
         # an empty set still makes one (empty) pass, so its logits are (0, K)
@@ -170,17 +172,18 @@ class Network(Layer):
         """Gradients of the mean loss over x, dropout on, summed over micro-batches.
 
         Zeroes the parameter gradients, then runs forward, loss gradient and
-        backward on each chunk of `inference_logits`'s size in turn, so the
-        layers' caches and taps stay near the cache; the layers add each
-        chunk's parameter gradients to the last. A chunk's logit gradient is
-        (p - onehot) / n with n the rows of x, and dropout draws the stream in
-        row order, so a step differs from one whole-batch pass only in
-        rounding: the order in which gradients are summed, and the BLAS
-        matrix-vector path `Dense` takes on a one-row chunk. A batch that
-        fits one chunk is bit-identical to that pass. Returns the whole
-        batch's mean loss and probabilities, computed over all chunks' logits
-        at once. The first non-finite chunk loss is returned as it is, with no
-        probabilities and no later chunk run.
+        backward on each chunk of `inference_logits`'s size in turn (one image
+        at 224 px, a whole batch of 32 at 32 px), so the layers' caches and
+        taps stay in L2; the layers add each chunk's parameter gradients to
+        the last. A chunk's logit gradient is (p - onehot) / n with n the rows
+        of x, and dropout draws the stream in row order, so a step differs
+        from one whole-batch pass only in rounding: the order in which
+        gradients are summed, and the BLAS matrix-vector path `Dense` takes
+        on a one-row chunk. A batch that fits one chunk is bit-identical to
+        that pass. Returns the whole batch's mean loss and probabilities,
+        computed over all chunks' logits at once. The first non-finite chunk
+        loss is returned as it is, with no probabilities and no later chunk
+        run.
         """
         x = self._checked(x)
         chunk, starts = _chunk_starts(x)

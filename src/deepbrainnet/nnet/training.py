@@ -20,7 +20,7 @@ from .network import Network, softmax_cross_entropy
 
 
 class NonFiniteLossError(ArithmeticError):
-    """Training produced a NaN or infinite loss."""
+    """Training produced a NaN or infinite loss, or a forward pass non-finite scores."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from deepbrainnet import cli
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
-from deepbrainnet.nnet import build_deepbrainnet_mini, save_checkpoint
+from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, save_checkpoint
 from deepbrainnet.rng import Prng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -663,6 +664,23 @@ def test_evaluate_nan_weight_checkpoint_is_data_error(tmp_path, capsys):
     nan = np.array([np.nan], dtype="<f4").tobytes()
     err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:-8] + nan + blob[-4:])
     assert err.startswith("data error: non-finite value in head.dense.bias of ")
+
+
+def test_evaluate_on_float32_overflowing_weights_is_numeric_failure(tmp_path, capsys):
+    """Finite weights of 1e18 pass the checkpoint's finiteness check but overflow the
+    float32 forward: one `numeric failure` line naming the checkpoint, no warning."""
+    out, cfg = pipeline(tmp_path)
+    path = out / "train" / "checkpoint.bin"
+    network = load_checkpoint(path)
+    network.set_weights([w * np.float32(1e18) for w in network.get_weights()])
+    save_checkpoint(network, path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as `-W error`: a RuntimeWarning would raise
+        assert run("evaluate", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"numeric failure: checkpoint {str(path)!r} overflows float32"), err
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

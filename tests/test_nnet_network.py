@@ -99,7 +99,18 @@ def test_predict_of_an_empty_batch_is_an_empty_matrix():
     assert predict(net, np.zeros((0, 3, 16, 16))).shape == (0, 4)
 
 
-CHUNK_224 = network_module._CHUNK_BYTES // (3 * 224 * 224 * 8)  # images per branch pass
+CHUNK_224 = network_module._chunk_starts(np.empty((0, 3, 224, 224)))[0]  # images per branch pass
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_chunk_is_one_image_at_224_px_and_a_whole_batch_of_32_at_32_px(dtype):
+    """The L2-sized chunk plan. At 32 px a batch of 32 stays one pass, which keeps
+    32 px training (the desk workload, the pinned 32 px weights) bit-identical to
+    whole-batch steps."""
+    chunk, starts = network_module._chunk_starts(np.empty((3, 3, 224, 224), dtype))
+    assert (chunk, list(starts)) == (1, [0, 1, 2])
+    chunk, starts = network_module._chunk_starts(np.empty((32, 3, 32, 32), dtype))
+    assert chunk >= 32 and list(starts) == [0]
 
 
 def test_chunked_predict_equals_one_whole_forward_at_224_px():
@@ -111,7 +122,7 @@ def test_chunked_predict_equals_one_whole_forward_at_224_px():
     2.2e-16) from the matrix-matrix product of a larger batch.
     """
     net = build_deepbrainnet_mini(224, 4, seed=31)
-    for n in (1, 2, CHUNK_224 + 1):  # the last leaves a one-image tail chunk
+    for n in sorted({1, 2, CHUNK_224 + 1}):  # the last leaves a one-image tail chunk
         x = Prng(32 + n).uniforms((n, 3, 224, 224))
         whole = softmax(net.forward_logits(x, training=False))
         assert np.array_equal(predict(net, x), whole), n
@@ -169,9 +180,10 @@ def _whole_batch_step(net, x, labels, rng):
 def test_micro_batched_step_matches_the_whole_batch_step_at_224_px():
     """Summed micro-batch gradients equal one whole-batch pass up to summation order.
 
-    A batch of chunk + 1 images leaves a one-row micro-batch, on which `Dense`
-    takes the BLAS matrix-vector path; that row's probabilities may round
-    differently, while the full chunk's rows are bit-equal.
+    A batch of chunk + 1 images ends in a one-row micro-batch (at 224 px every
+    chunk is one image), on which `Dense` takes the BLAS matrix-vector path;
+    that row's probabilities may round differently, while the first chunk's
+    rows are bit-equal.
     """
     net = build_deepbrainnet_mini(224, 4, seed=51)
     n = CHUNK_224 + 1
@@ -369,6 +381,18 @@ def test_step_split_tool_times_every_named_layer(capsys):
     for name, _ in net.named_layers():
         assert report[f"{name}.forward"] >= 0.0 and report[f"{name}.backward"] >= 0.0
     assert report["step_s"] > 0.0
+
+
+def test_chunk_sweep_tool_times_each_chunk_size_and_restores_the_budget(capsys):
+    """tools/chunk_sweep.py (benchmark helper) reports both timings per chunk size."""
+    tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "chunk_sweep.py"))
+    budget = network_module._CHUNK_BYTES
+    argv = ["--size", "16", "--chunks", "1,3", "--predict", "3", "--batch", "2", "--rounds", "1"]
+    assert tool["main"](argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    for chunk in ("1", "3"):
+        assert report[chunk]["predict_s"] > 0.0 and report[chunk]["train_step_s"] > 0.0
+    assert network_module._CHUNK_BYTES == budget
 
 
 END_TO_END_METRICS = ("pipeline_s", "setup_s", "peak_rss_mb", "output_mb")

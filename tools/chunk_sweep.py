@@ -1,0 +1,69 @@
+"""Seconds of predict and of one training step for each micro-batch size.
+
+    PYTHONPATH=src python3 tools/chunk_sweep.py --size 224 --chunks 1,2,4,13 --rounds 5
+
+For each `--chunks` entry, sets how many images `Network.inference_logits`
+and `Network.train_step` run at once (by setting `network._CHUNK_BYTES` to
+that many float32 images), then times `predict` of `--predict` images and
+one `train_step` of a `--batch` image batch. The network is the seeded
+untrained one in float32, as `train` on the command line builds it, and the
+inputs are seeded float32 uniforms. Each round runs every chunk size once,
+in turn, after one warm-up round, so drift spreads over all of them; the
+median seconds per chunk size are printed as one JSON object. Pin the BLAS
+thread count in the environment for comparable runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+from deepbrainnet.nnet import build_deepbrainnet_mini, network, predict
+from deepbrainnet.rng import Prng
+
+SEED = 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=224)
+    parser.add_argument("--chunks", default="1,2,4,13", help="images per chunk, comma-separated")
+    parser.add_argument("--predict", type=int, default=64)
+    parser.add_argument("--batch", type=int, default=32)
+    parser.add_argument("--rounds", type=int, default=3)
+    args = parser.parse_args(argv)
+    chunks = [int(c) for c in args.chunks.split(",")]
+    net = build_deepbrainnet_mini(args.size, 4, seed=SEED, dtype=np.float32)
+    data = np.random.default_rng(SEED)
+    images = data.random((args.predict, 3, args.size, args.size), dtype=np.float32)
+    batch = data.random((args.batch, 3, args.size, args.size), dtype=np.float32)
+    labels = np.arange(args.batch) % 4
+    image_bytes = 4 * 3 * args.size * args.size
+    seconds = {(c, kind): [] for c in chunks for kind in ("predict_s", "train_step_s")}
+    saved = network._CHUNK_BYTES
+    try:
+        for round_ in range(args.rounds + 1):
+            for c in chunks:
+                network._CHUNK_BYTES = c * image_bytes
+                for kind, run in (("predict_s", lambda: predict(net, images)),
+                                  ("train_step_s", lambda: net.train_step(batch, labels, Prng(SEED)))):
+                    started = time.perf_counter()
+                    run()
+                    if round_:  # round 0 warms up
+                        seconds[c, kind].append(time.perf_counter() - started)
+    finally:
+        network._CHUNK_BYTES = saved
+    report = {"size": args.size, "predict": args.predict, "batch": args.batch, "rounds": args.rounds}
+    for c in chunks:
+        report[str(c)] = {kind: round(statistics.median(seconds[c, kind]), 4)
+                          for kind in ("predict_s", "train_step_s")}
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
