@@ -176,16 +176,16 @@ def _load_gray(config: RunConfig, manifest: DatasetManifest, rel_path: str) -> G
 
 
 def _to_tensor(planes: np.ndarray) -> np.ndarray:
-    """(N, 3, H, W) float32 in [0, 1], the dtype the CLI's network computes in:
-    (N, H, W) gray planes normalized then channel-stacked.
+    """(N, 3, H, W) float32 in [0, 1], the dtype the CLI's network computes in, of
+    (N, H, W) gray planes: a read-only view whose three channels are one
+    normalized plane.
 
-    Written in place: a float copy of the planes beside the result would add
-    N * H * W * 4 bytes to the peak (2.4 MB for 12 images at 224 px).
+    The network only reads its input, so the channels need not be copied: the
+    view holds N * H * W * 4 bytes where three copies held three times that
+    (12.8 MB against 38.5 MB for 64 images at 224 px).
     """
-    tensor = np.empty((planes.shape[0], 3, *planes.shape[1:]), dtype=np.float32)
-    np.divide(planes, 255.0, out=tensor[:, 0], dtype=np.float32)
-    tensor[:, 1:] = tensor[:, :1]
-    return tensor
+    gray = np.divide(planes, 255.0, dtype=np.float32)
+    return np.broadcast_to(gray[:, None], (gray.shape[0], 3, *gray.shape[1:]))
 
 
 def _load_tensors(config: RunConfig, manifest: DatasetManifest):
@@ -348,16 +348,18 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         dtype=np.float32,
     )
     train_config = config.train_config(stage_seed(config.seed, "train"))
-    augment_fn = None
-    if config.augment_enabled:
-        params = config.augment_params()
-        augment_seed = stage_seed(config.seed, "augment")
+    params = config.augment_params()
+    augment_seed = stage_seed(config.seed, "augment")
 
-        def augment_fn(batch: list[int], epoch: int) -> np.ndarray:
+    def batch_tensor(batch: list[int], epoch: int) -> np.ndarray:
+        """The batch's tensor view, built from its planes alone; augmented if enabled."""
+        planes = train_planes[batch]
+        if config.augment_enabled:
             seeds = [derive_seed(augment_seed, epoch, index) for index in batch]
-            return _to_tensor(augment_image(train_planes[batch], params, seeds))
+            planes = augment_image(planes, params, seeds)
+        return _to_tensor(planes)
 
-    history = train(network, (train_x, train_y), (val_x, val_y), train_config, augment_fn=augment_fn)
+    history = train(network, (train_x, train_y), (val_x, val_y), train_config, augment_fn=batch_tensor)
 
     out_dir = _train_dir(config)
     os.makedirs(out_dir, exist_ok=True)

@@ -350,7 +350,12 @@ class Dense(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity when not training or when rate is 0."""
+    """Inverted dropout; identity when not training or when rate is 0.
+
+    In training its `rng` is a Prng, from which it draws one uniform per
+    element of x in row-major order, or the (rows of the) uniforms such a draw
+    gave: a micro-batch then takes its rows of its batch's one draw.
+    """
 
     kind = "dropout"
 
@@ -365,8 +370,11 @@ class Dropout(Layer):
             self._mask = None
             return np.asarray(x)
         if rng is None:
-            raise ValueError("training-mode dropout needs a Prng")
-        keep = rng.uniforms(x.shape) >= self.rate
+            raise ValueError("training-mode dropout needs a Prng or its uniforms")
+        uniforms = rng.uniforms(x.shape) if isinstance(rng, Prng) else rng
+        if uniforms.shape != x.shape:
+            raise ValueError(f"dropout needs {x.shape} uniforms, got {uniforms.shape}")
+        keep = uniforms >= self.rate
         self._mask = (keep / (1.0 - self.rate)).astype(x.dtype)
         return x * self._mask
 

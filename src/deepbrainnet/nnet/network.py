@@ -10,7 +10,10 @@ convolutions) at a few thousand parameters.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -39,6 +42,14 @@ def _chunk_starts(x: np.ndarray) -> tuple[int, range]:
     """Images per chunk of x, and the chunks' first rows; an empty x has one chunk."""
     chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
     return chunk, range(0, max(x.shape[0], 1), chunk)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: one chunk worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class Network(Layer):
@@ -137,7 +148,7 @@ class Network(Layer):
             )
         return x
 
-    def _fused(self, x: np.ndarray, training: bool, rng: Prng | None) -> np.ndarray:
+    def _fused(self, x: np.ndarray, training: bool, rng: Prng | np.ndarray | None) -> np.ndarray:
         """Both branches' pooled features of x, concatenated."""
         fa = x
         for layer in self.branch_a:
@@ -148,55 +159,136 @@ class Network(Layer):
         self._split = fa.shape[1]
         return np.concatenate([fa, fb], axis=1)
 
-    def forward_logits(self, x, training: bool = False, rng: Prng | None = None) -> np.ndarray:
+    def forward_logits(self, x, training: bool = False,
+                       rng: Prng | np.ndarray | None = None) -> np.ndarray:
         fused = self._fused(self._checked(x), training, rng)
         return self.dense.forward(self.dropout.forward(fused, training=training, rng=rng))
+
+    def _instrumented(self) -> bool:
+        """Whether a layer's forward or backward is an instance attribute: a timing or
+        recording wrapper bound to this network's layers, which a replica would share."""
+        return any("forward" in vars(layer) or "backward" in vars(layer)
+                   for layer in self.iter_layers())
+
+    def _replica(self) -> Network:
+        """A copy that shares every parameter array and owns its gradients and caches.
+
+        The caches a serial pass left on this network's layers are not copied:
+        every chunk fills its replica's own before reading them.
+        """
+        memo = {id(p): p for p in self.parameters()}
+        for layer in self.iter_layers():
+            for cache in (getattr(layer, "_cache", None), getattr(layer, "_mask", None)):
+                if cache is not None:
+                    memo[id(cache)] = None
+        return copy.deepcopy(self, memo)
+
+    def _map_chunks(self, run, starts: range) -> list:
+        """[run(network, i) for i in starts], the chunks spread over worker threads.
+
+        One worker per available CPU, at most one per chunk, takes the next
+        chunk in turn and runs it on its own replica, under the caller's numpy
+        error state (which is per thread). The results come back in chunk
+        order; so does the first exception, which the caller gets unchanged.
+        With one worker, or wrappers on the layers (which a replica would
+        share with this network across threads), the chunks run on this
+        network in the calling thread. Every worker has ended on return.
+        """
+        workers = min(_available_cpus(), len(starts))
+        if workers < 2 or self._instrumented():
+            return [run(self, i) for i in starts]
+        outcomes: list = [None] * len(starts)
+        todo = iter(range(len(starts)))
+        lock = threading.Lock()
+        errors = np.geterr()
+
+        def work(replica: Network) -> None:
+            with np.errstate(**errors):
+                while True:
+                    with lock:
+                        k = next(todo, None)
+                    if k is None:
+                        return
+                    try:
+                        outcomes[k] = (run(replica, starts[k]), None)
+                    except BaseException as error:  # raised again below, in chunk order
+                        outcomes[k] = (None, error)
+
+        threads = [threading.Thread(target=work, args=(self._replica(),)) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [result for result, _ in outcomes]
 
     def inference_logits(self, x) -> np.ndarray:
         """Logits with dropout disabled, the branches run over cache-sized chunks.
 
         Each chunk holds about `_CHUNK_BYTES` of input (one image at 224 px),
         so a conv's padded input, taps and output stay in L2 instead of
-        spanning the whole set. The branches treat every image alone, so
-        their features do not depend on the chunk size; the head runs once
-        over all of them, because a one-row chunk would take the BLAS
-        matrix-vector path in `Dense` and round differently.
+        spanning the whole set; the chunks run on one worker per available
+        CPU (`_map_chunks`). The branches treat every image alone, so their
+        features do not depend on the chunk size or on the worker that ran
+        them; the head runs once over all of them, because a one-row chunk
+        would take the BLAS matrix-vector path in `Dense` and round
+        differently.
         """
         x = self._checked(x)
         # an empty set still makes one (empty) pass, so its logits are (0, K)
         chunk, starts = _chunk_starts(x)
-        fused = [self._fused(x[i : i + chunk], False, None) for i in starts]
+        fused = self._map_chunks(lambda net, i: net._fused(x[i : i + chunk], False, None), starts)
         return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
 
     def train_step(self, x, labels, rng: Prng) -> tuple[float, np.ndarray | None]:
         """Gradients of the mean loss over x, dropout on, summed over micro-batches.
 
-        Zeroes the parameter gradients, then runs forward, loss gradient and
-        backward on each chunk of `inference_logits`'s size in turn (one image
-        at 224 px, a whole batch of 32 at 32 px), so the layers' caches and
-        taps stay in L2; the layers add each chunk's parameter gradients to
-        the last. A chunk's logit gradient is (p - onehot) / n with n the rows
-        of x, and dropout draws the stream in row order, so a step differs
-        from one whole-batch pass only in rounding: the order in which
-        gradients are summed, and the BLAS matrix-vector path `Dense` takes
-        on a one-row chunk. A batch that fits one chunk is bit-identical to
-        that pass. Returns the whole batch's mean loss and probabilities,
-        computed over all chunks' logits at once. The first non-finite chunk
-        loss is returned as it is, with no probabilities and no later chunk
-        run.
+        Draws the whole batch's dropout uniforms from `rng` at once (none when
+        the rate is 0), then runs forward, loss gradient and backward on each
+        chunk of `inference_logits`'s size (one image at 224 px, a whole batch
+        of 32 at 32 px), so the layers' caches and taps stay in L2; the chunks
+        run on one worker per available CPU (`_map_chunks`). Each chunk starts
+        from zeroed gradients, and the chunks' gradients are then added into
+        zeroed parameter gradients in chunk order, the order in which the
+        layers would add them in one pass over the chunks, so the result does
+        not depend on the worker count. A chunk's logit gradient is
+        (p - onehot) / n with n the rows of x, and row r takes row r of the
+        uniforms, so a step differs from one whole-batch pass only in
+        rounding: the order in which gradients are summed, and the BLAS
+        matrix-vector path `Dense` takes on a one-row chunk. A batch that fits
+        one chunk is bit-identical to that pass. Returns the whole batch's mean
+        loss and probabilities, computed over all chunks' logits at once. The
+        first non-finite chunk loss in chunk order is returned as it is, with
+        no probabilities; later chunks may have run, and the parameter
+        gradients then hold the sum of the chunks before it.
         """
         x = self._checked(x)
+        n = x.shape[0]
         chunk, starts = _chunk_starts(x)
-        self.zero_grads()
-        logits = []
-        for i in starts:
-            part = self.forward_logits(x[i : i + chunk], training=True, rng=rng)
-            loss, grad, _ = softmax_cross_entropy(part, labels[i : i + chunk], x.shape[0])
+        # one draw per batch, in row order: the workers never share the stream
+        uniforms = rng.uniforms((n, self.dense.features_in)) if self.dropout.rate else None
+
+        def step(net: Network, i: int):
+            rows = slice(i, i + chunk)
+            part = net.forward_logits(x[rows], training=True,
+                                      rng=None if uniforms is None else uniforms[rows])
+            loss, grad, _ = softmax_cross_entropy(part, labels[rows], n)
             if not np.isfinite(loss):
+                return part, loss, None
+            net.zero_grads()
+            net.backward_from_logits(grad)
+            return part, loss, [g.copy() for g in net.gradients()]
+
+        results = self._map_chunks(step, starts)
+        self.zero_grads()
+        for _, loss, grads in results:
+            if grads is None:
                 return loss, None
-            self.backward_from_logits(grad)
-            logits.append(part)
-        loss, _, probs = softmax_cross_entropy(np.concatenate(logits), labels)
+            for total, g in zip(self.gradients(), grads):
+                total += g
+        loss, _, probs = softmax_cross_entropy(np.concatenate([part for part, _, _ in results]), labels)
         return loss, probs
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> None:

@@ -114,12 +114,14 @@ def train(
     """Minibatch Adam on softmax cross-entropy with seeded determinism.
 
     `augment_fn(batch_indices, epoch)`, when given, supplies the (B, C, H, W)
-    training tensor of one minibatch: the samples at those indices, in that
-    order, augmented for that epoch. Validation data are never augmented.
+    training tensor of one minibatch in place of `train_x[batch_indices]`:
+    the samples at those indices, in that order, augmented for that epoch (or
+    not; the CLI also builds its unaugmented batches this way). Validation
+    data are never augmented.
     During the first `freeze_branches_epochs` epochs only the head is
     updated, mimicking fine-tuning on frozen pretrained branches. Each
     batch takes one Adam step on gradients that `Network.train_step` sums
-    over cache-sized micro-batches.
+    over cache-sized micro-batches, which run on one worker per CPU.
     """
     train_x, train_y = train_set
     val_x, val_y = val_set

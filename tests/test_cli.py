@@ -15,6 +15,7 @@ from deepbrainnet import cli
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
 from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, save_checkpoint
+from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -681,6 +682,45 @@ def test_evaluate_on_float32_overflowing_weights_is_numeric_failure(tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
     assert err.startswith(f"numeric failure: checkpoint {str(path)!r} overflows float32"), err
+
+
+def test_evaluate_on_224_px_overflowing_weights_on_workers_is_numeric_failure(
+        tmp_path, capsys, monkeypatch):
+    """At 224 px each validation image is a chunk that a worker thread runs, and numpy's
+    error state is per thread: the workers take evaluate's, so the overflow is one
+    `numeric failure` line, not a RuntimeWarning raised in a worker."""
+    monkeypatch.setattr(network_module, "_available_cpus", lambda: 2)
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", image_size=224, synth_per_class=2,
+                       train_fraction=0.5)
+    for command in ("synth", "preprocess"):
+        assert run(command, "--config", cfg) == 0, command
+    network = build_deepbrainnet_mini(224, 4, seed=3, dtype=np.float32)
+    network.set_weights([w * np.float32(1e18) for w in network.get_weights()])
+    path = tmp_path / "out" / "train" / "checkpoint.bin"
+    path.parent.mkdir()
+    save_checkpoint(network, path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as `-W error`: a RuntimeWarning would raise
+        assert run("evaluate", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert re.match(rf"numeric failure: checkpoint {re.escape(repr(str(path)))} overflows "
+                    r"float32: 4 of 4 validation score rows are not finite", err), err
+
+
+def test_to_tensor_is_a_read_only_view_of_one_normalized_plane():
+    """The three channels are one float32 plane, equal to the copied tensor it replaced."""
+    planes = Prng(7).belows(np.full((3, 5, 6), 256)).astype(np.uint8)
+    tensor = cli._to_tensor(planes)
+    copied = np.empty((3, 3, 5, 6), dtype=np.float32)  # the copy each channel used to be
+    np.divide(planes, 255.0, out=copied[:, 0], dtype=np.float32)
+    copied[:, 1:] = copied[:, :1]
+    assert tensor.dtype == np.float32 and tensor.shape == copied.shape
+    assert np.array_equal(tensor, copied)
+    assert not tensor.flags.writeable
+    assert tensor.strides[1] == 0 and np.shares_memory(tensor[:, 0], tensor[:, 2])
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

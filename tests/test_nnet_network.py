@@ -3,6 +3,8 @@ import json
 import math
 import runpy
 import struct
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +25,9 @@ from deepbrainnet.nnet import (
 )
 from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracing import Tracer, _instrument_network  # noqa: E402
 
 
 def sample_batch(rng, n, size):
@@ -154,19 +159,30 @@ def test_predict_runs_the_branches_in_cache_sized_chunks():
     assert sizes == [40]
 
 
-def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward():
+def pin_workers(monkeypatch, workers):
+    """Run the chunks on `workers` threads whatever this machine's CPU count."""
+    monkeypatch.setattr(network_module, "_available_cpus", lambda: workers)
+
+
+def _peak_bytes(run) -> int:
+    """Peak traced allocation of run(), over every thread."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward(monkeypatch):
+    """With one worker and with four (each holding one chunk's working set)."""
     net = build_deepbrainnet_mini(224, 4, seed=37)
     x = Prng(38).uniforms((24, 3, 224, 224))
-    peaks = []
-    for run in (lambda: predict(net, x), lambda: net.forward_logits(x, training=False)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    chunked, whole = peaks
-    assert chunked < whole / 2, (chunked, whole)
+    whole = _peak_bytes(lambda: net.forward_logits(x, training=False))
+    for workers in (1, 4):
+        pin_workers(monkeypatch, workers)
+        chunked = _peak_bytes(lambda: predict(net, x))
+        assert chunked < whole / 2, (workers, chunked, whole)
 
 
 def _whole_batch_step(net, x, labels, rng):
@@ -201,20 +217,171 @@ def test_micro_batched_step_matches_the_whole_batch_step_at_224_px():
     assert micro_rng.next_u64() == whole_rng.next_u64()  # dropout drew the same stream
 
 
-def test_micro_batched_step_holds_under_three_quarters_of_the_whole_step_memory():
+def test_micro_batched_step_holds_under_three_quarters_of_the_whole_step_memory(monkeypatch):
+    """With one worker and with four (each holding one chunk's working set)."""
     net = build_deepbrainnet_mini(224, 4, seed=61)
     x = Prng(62).uniforms((12, 3, 224, 224))  # the paper workload's batch
     labels = np.arange(12) % 4
-    peaks = []
-    for step in (net.train_step, lambda *args: _whole_batch_step(net, *args)):
-        tracemalloc.start()
-        try:
-            step(x, labels, Prng(63))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    micro, whole = peaks
-    assert micro < 0.75 * whole, (micro, whole)
+    whole = _peak_bytes(lambda: _whole_batch_step(net, x, labels, Prng(63)))
+    for workers in (1, 4):
+        pin_workers(monkeypatch, workers)
+        micro = _peak_bytes(lambda: net.train_step(x, labels, Prng(63)))
+        assert micro < 0.75 * whole, (workers, micro, whole)
+
+
+def _outcomes(net, x, labels, seed):
+    """predict's rows, then train_step's loss, probabilities, gradients and next draw."""
+    probs = predict(net, x)
+    rng = Prng(seed)
+    loss, step_probs = net.train_step(x, labels, rng)
+    return [probs, loss, step_probs, *(g.copy() for g in net.gradients()), rng.next_u64()]
+
+
+def _one_pass_gradients(net, x, labels, seed):
+    """Gradients of one pass over the chunks in turn, each chunk's backward adding into
+    the layers' buffers and dropout drawing per chunk: the reference summation order."""
+    chunk, starts = network_module._chunk_starts(x)
+    rng = Prng(seed)
+    net.zero_grads()
+    for i in starts:
+        part = net.forward_logits(x[i : i + chunk], training=True, rng=rng)
+        _, grad, _ = softmax_cross_entropy(part, labels[i : i + chunk], x.shape[0])
+        net.backward_from_logits(grad)
+    return [g.copy() for g in net.gradients()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_and_train_step_are_bit_identical_for_any_worker_count(monkeypatch, dtype):
+    """Each chunk runs alone on some worker's replica, and its gradients are added in
+    chunk order, so the worker count changes no bit and leaves no thread behind; the
+    gradients are those of one pass over the chunks."""
+    net = build_deepbrainnet_mini(224, 4, seed=81, dtype=dtype)
+    threads = threading.active_count()
+    for n in (1, 2, 3, 5, 12):
+        x = Prng(82 + n).uniforms((n, 3, 224, 224)).astype(dtype)
+        labels = np.arange(n) % 4
+        runs = []
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            runs.append(_outcomes(net, x, labels, 83))
+            assert threading.active_count() == threads, (n, workers)
+        for workers, run in zip((2, 3), runs[1:]):
+            for k, (serial, parallel) in enumerate(zip(runs[0], run)):
+                assert np.array_equal(serial, parallel), (n, workers, k)
+        gradients = runs[0][3:-1]
+        for k, (g, reference) in enumerate(zip(gradients, _one_pass_gradients(net, x, labels, 83),
+                                                strict=True)):
+            assert np.array_equal(g, reference), (n, k)
+
+
+def test_many_workers_on_few_cores_still_run_each_chunk_once(monkeypatch):
+    """Eight workers take 40 one-image chunks under a 1 us switch interval, so the
+    shared chunk counter is contended; a chunk run twice or skipped would change
+    the summed gradients. The call runs in a thread joined with a timeout."""
+    net = build_deepbrainnet_mini(16, 4, seed=84, base_channels=4)
+    x = Prng(85).uniforms((40, 3, 16, 16))
+    labels = np.arange(40) % 4
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", x[0].nbytes)
+    pin_workers(monkeypatch, 1)
+    serial = _outcomes(net, x, labels, 86)
+    pin_workers(monkeypatch, 8)
+    parallel = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: parallel.extend(_outcomes(net, x, labels, 86)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert len(parallel) == len(serial)
+    for k, (a, b) in enumerate(zip(serial, parallel)):
+        assert np.array_equal(a, b), k
+
+
+def test_a_replica_shares_the_parameters_and_owns_its_gradients_but_no_caches():
+    net = build_deepbrainnet_mini(224, 4, seed=87, dtype=np.float32)
+    net.train_step(Prng(88).uniforms((1, 3, 224, 224)), np.array([1]), Prng(89))  # fills caches
+    replica = net._replica()
+    assert all(a is b for a, b in zip(replica.parameters(), net.parameters(), strict=True))
+    assert not any(a is b for a, b in zip(replica.gradients(), net.gradients(), strict=True))
+    for layer in replica.iter_layers():
+        if layer.params:  # `w` and `dw` still alias the registered arrays
+            assert layer.w is layer.params["weight"] and layer.dw is layer.grads["weight"]
+        assert getattr(layer, "_cache", None) is None and getattr(layer, "_mask", None) is None
+    assert net.branch_a[0]._cache is not None and net.dropout._mask is not None
+
+
+def test_train_step_draws_the_batch_dropout_uniforms_once(monkeypatch):
+    """The whole batch's uniforms come from one draw, and chunk k's masks are its rows:
+    bit for bit the masks of one draw per chunk, and the stream ends where one
+    `uniforms((n, 3 * base_channels))` call leaves it."""
+    pin_workers(monkeypatch, 1)
+    n = 5
+    net = build_deepbrainnet_mini(224, 4, seed=88, dtype=np.float32)
+    masks = []
+    forward = net.dropout.forward
+
+    def recording(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        masks.append(net.dropout._mask)
+        return out
+
+    net.dropout.forward = recording
+    rng = Prng(89)
+    net.train_step(Prng(90).uniforms((n, 3, 224, 224)), np.arange(n) % 4, rng)
+    reference = Prng(89)
+    chunk = network_module._chunk_starts(np.empty((n, 3, 224, 224), np.float32))[0]
+    assert len(masks) == -(-n // chunk)
+    rate = net.dropout.rate
+    for mask in masks:  # the draw the parent made per chunk
+        keep = reference.uniforms(mask.shape) >= rate
+        assert np.array_equal(mask, (keep / (1.0 - rate)).astype(np.float32))
+    whole = Prng(89)
+    whole.uniforms((n, 3 * net.base_channels))
+    assert rng.next_u64() == reference.next_u64() == whole.next_u64()
+
+
+def test_an_instrumented_network_runs_its_chunks_on_the_calling_thread(monkeypatch):
+    """perfbench's layer wrappers are bound to the original layers, which a replica
+    would share across threads: such a network runs its chunks serially, to the
+    unwrapped network's gradients bit for bit, and every span is on one thread."""
+    pin_workers(monkeypatch, 3)
+    n = 3
+    x = Prng(91).uniforms((n, 3, 224, 224)).astype(np.float32)
+    labels = np.arange(n) % 4
+    plain = build_deepbrainnet_mini(224, 4, seed=92, dtype=np.float32)
+    tracer = Tracer()
+    span, threads = tracer.span, set()
+
+    def span_on_thread(name):
+        threads.add(threading.get_ident())
+        return span(name)
+
+    tracer.span = span_on_thread
+    wrapped = _instrument_network(tracer, build_deepbrainnet_mini(224, 4, seed=92, dtype=np.float32))
+    expected = _outcomes(plain, x, labels, 93)
+    for k, (a, b) in enumerate(zip(expected, _outcomes(wrapped, x, labels, 93))):
+        assert np.array_equal(a, b), k
+    assert threads == {threading.get_ident()}
+    layers = len(wrapped.named_layers())
+    # predict: the branches per one-image chunk, the head once; train_step: both passes
+    # of every layer per chunk
+    assert len(tracer.spans) == ((layers - 2) * n + 2) + 2 * layers * n
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_raises_its_own_exception_in_the_caller(monkeypatch, workers):
+    pin_workers(monkeypatch, workers)
+    net = build_deepbrainnet_mini(224, 4, seed=94, dtype=np.float32)
+    threads = threading.active_count()
+    x = np.zeros((3, 2, 224, 224), np.float32)
+    with pytest.raises(ValueError, match="^expected 3 input channels, got 2$"):
+        predict(net, x)
+    with pytest.raises(ValueError, match="^expected 3 input channels, got 2$"):
+        net.train_step(x, np.arange(3) % 4, Prng(95))
+    assert threading.active_count() == threads
 
 
 def test_full_network_gradient_check():

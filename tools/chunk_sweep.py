@@ -9,8 +9,10 @@ one `train_step` of a `--batch` image batch. The network is the seeded
 untrained one in float32, as `train` on the command line builds it, and the
 inputs are seeded float32 uniforms. Each round runs every chunk size once,
 in turn, after one warm-up round, so drift spreads over all of them; the
-median seconds per chunk size are printed as one JSON object. Pin the BLAS
-thread count in the environment for comparable runs.
+median seconds per chunk size are printed as one JSON object. The chunks
+run on one worker thread per available CPU, as they do in `train` and
+`evaluate`; pin the process to one CPU (`taskset -c 0`) to time them
+serially. Pin the BLAS thread count in the environment for comparable runs.
 """
 
 from __future__ import annotations

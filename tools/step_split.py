@@ -6,11 +6,14 @@ Builds the seeded untrained network in float32, as `train` on the command
 line does, and runs a warm-up step plus `--steps` measured steps on seeded
 float32 uniform inputs. A step is what `train` does per
 batch: `Network.train_step` (forward with dropout on, loss gradient and
-backward over each cache-sized micro-batch in turn) and then the Adam update.
+backward over each cache-sized micro-batch) and then the Adam update.
 The forward and backward of each `Network.named_layers()` entry, summed over
 the micro-batches, and the Adam update are timed with the span tracer of
 `perfbench/tracing.py`, and the median seconds per step are printed as one
-JSON object.
+JSON object. This times the serial step: a network whose layers carry the
+tracer's wrappers runs its micro-batches one after another in the calling
+thread, where `train` runs them on one worker per CPU, so `step_s` is the
+one-worker figure.
 `perfbench/layer_split.py` takes its figures from the paper workload's batch
 of 12 and scales them to batch 32; this measures the batch directly. Pin the
 BLAS thread count in the environment for comparable runs.
