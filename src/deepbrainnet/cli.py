@@ -135,8 +135,11 @@ def _recorded(config: RunConfig, command: str, key: str) -> str | None:
     path = os.path.join(config.output_dir, f"runrecord_{command}.txt")
     if not os.path.isfile(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        return next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot decode run record {path!r}: {exc}") from exc
 
 
 def _check_split(config: RunConfig, split_sha256: str) -> None:
@@ -171,6 +174,8 @@ def _load_gray(config: RunConfig, manifest: DatasetManifest, rel_path: str) -> G
         mask = load_pgm(mask_file)
         if (mask.width, mask.height) != (image.width, image.height):
             raise DatasetError(f"mask dimensions mismatch for {rel_path!r}")
+        if not np.isin(mask.data, (0, 255)).all():  # another value would scale the image
+            raise DatasetError(f"mask {mask_file!r} holds samples other than 0 and 255")
         image = GrayImage(image.width, image.height, image.data * (mask.data // 255))
     return image
 

@@ -141,7 +141,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
+from pathlib import PurePath
 
 import numpy as np
 
@@ -322,14 +323,21 @@ def manifest_to_csv(manifest: DatasetManifest, path) -> None:
 
 
 def manifest_from_csv(path, root: str) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    """Read a manifest whose paths are relative to `root` and stay below it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot decode manifest {path!r}: {exc}") from exc
     if not lines or lines[0] != "path,class_index,class_name":
         raise DatasetError(f"bad manifest header in {path!r}")
     entries = []
     names: dict[int, str] = {}
     for line in lines[1:]:
         rel_path, idx_s, name = line.split(",", 2)
+        rel = PurePath(rel_path)
+        if rel.anchor or ".." in rel.parts:
+            raise DatasetError(f"manifest {path!r} lists {rel_path!r}, which leaves its root")
         idx = int(idx_s)
         entries.append((rel_path, idx))
         names[idx] = name

@@ -1,15 +1,17 @@
 """Network layers with explicit forward and backward passes.
 
-Tensors are plain numpy arrays in NCHW order, in the weights' dtype: every
-layer with weights casts its input to them, and the rest keep theirs.
-Convolutions are cross-correlations with zero padding; output spatial size
-is floor((H + 2p - K) / s) + 1. They loop over the K x K kernel taps on flat
-phase planes of the padded input, a tap being one BLAS GEMM per image (see
-`_Conv`); what they return are NCHW views of those flat arrays, and every
-layer accepts any memory layout. Each layer caches what its backward pass
-needs, accumulates parameter gradients into its own buffers, and returns the
-gradient with respect to its input; a convolution that reads the network
-input (`input_grad = False`) returns None instead.
+Every layer's `forward` takes x alone, except `Dropout.forward(x, uniforms)`:
+its uniforms are the one training input. Tensors are plain numpy arrays in
+NCHW order, in the weights' dtype: every layer with weights casts its input
+to them, and the rest keep theirs. Convolutions are cross-correlations with
+zero padding; output spatial size is floor((H + 2p - K) / s) + 1. They loop
+over the K x K kernel taps on flat phase planes of the padded input, a tap
+being one BLAS GEMM per image (see `_Conv`); what they return are NCHW views
+of those flat arrays, and every layer accepts any memory layout. Each layer
+caches what its backward pass needs, accumulates parameter gradients into its
+own buffers, and returns the gradient with respect to its input; a
+convolution that reads the network input (`input_grad = False`) returns None
+instead.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class Layer:
     params: Mapping[str, np.ndarray] = MappingProxyType({})
     grads: Mapping[str, np.ndarray] = MappingProxyType({})
 
-    def forward(self, x, training: bool = False, rng: Prng | None = None):
+    def forward(self, x):
         raise NotImplementedError
 
     def backward(self, grad):
@@ -222,7 +224,7 @@ class _Conv(Layer):
     def _tap_weight_grad(self, g_flat, x_flat):
         return (g_flat @ x_flat.swapaxes(-1, -2)).sum(axis=0)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         x = as_tensor4(x, self.w.dtype)
         n, c, h, w = x.shape
         if c != self.c_in:
@@ -302,7 +304,7 @@ class ReLU(Layer):
     kind = "relu"
     _margins = None  # a list while Network.relu_kink_margin records |input| minima
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         if self._margins is not None and x.size:
             self._margins.append(float(np.abs(x).min()))
         self._mask = x > 0
@@ -315,7 +317,7 @@ class ReLU(Layer):
 class GlobalAvgPool(Layer):
     kind = "global_avg_pool"
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         # contiguous first: numpy's pairwise sum adds in memory order, so the
         # pooled features would otherwise round by the input's layout
         x = np.ascontiguousarray(as_tensor4(x))
@@ -336,7 +338,7 @@ class Dense(Layer):
         self._register(_kaiming(rng, (features_out, features_in), features_in), np.zeros(features_out))
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         x = np.asarray(x, dtype=self.w.dtype)
         if x.shape[1] != self.features_in:
             raise ValueError(f"expected {self.features_in} features, got {x.shape[1]}")
@@ -350,11 +352,10 @@ class Dense(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity when not training or when rate is 0.
+    """Inverted dropout; the identity without uniforms or when rate is 0.
 
-    In training its `rng` is a Prng, from which it draws one uniform per
-    element of x in row-major order, or the (rows of the) uniforms such a draw
-    gave: a micro-batch then takes its rows of its batch's one draw.
+    `uniforms` holds one draw per element of x (a micro-batch passes its rows
+    of its batch's one draw); an element is kept where its draw is >= rate.
     """
 
     kind = "dropout"
@@ -365,13 +366,10 @@ class Dropout(Layer):
         self.rate = rate
         self._mask = None
 
-    def forward(self, x, training=False, rng=None):
-        if not training or self.rate == 0.0:
+    def forward(self, x, uniforms: np.ndarray | None = None):
+        if uniforms is None or self.rate == 0.0:
             self._mask = None
             return np.asarray(x)
-        if rng is None:
-            raise ValueError("training-mode dropout needs a Prng or its uniforms")
-        uniforms = rng.uniforms(x.shape) if isinstance(rng, Prng) else rng
         if uniforms.shape != x.shape:
             raise ValueError(f"dropout needs {x.shape} uniforms, got {uniforms.shape}")
         keep = uniforms >= self.rate
@@ -400,7 +398,7 @@ class DsBlock(Layer):
         self.pointwise = PointwiseConv2d(c_in, c_out, rng=rng)
         self.relu = ReLU()
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x):
         return self.relu.forward(self.pointwise.forward(self.depthwise.forward(x)))
 
     def backward(self, grad):
@@ -421,10 +419,8 @@ class ResidualBlock(Layer):
         self.conv2 = Conv2d(channels, channels, kernel, 1, padding, rng=rng)
         self.relu2 = ReLU()
 
-    def forward(self, x, training=False, rng=None):
-        x = as_tensor4(x, self.conv1.w.dtype)
-        if x.shape[1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
+    def forward(self, x):
+        x = as_tensor4(x, self.conv1.w.dtype)  # the skip sum adds x in the weights' dtype
         residual = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))
         return self.relu2.forward(residual + x)
 

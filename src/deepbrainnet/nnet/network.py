@@ -56,7 +56,8 @@ class Network(Layer):
     """Branch lists, fusion by feature concatenation, and the classifier head.
 
     Its children are the named layers, so `named_parameters()` yields names
-    such as `branch_a.2.conv1.weight` and `head.dense.bias`.
+    such as `branch_a.2.conv1.weight` and `head.dense.bias`. Branch A's pooled
+    features are the first `base_channels` of the fused ones.
     """
 
     kind = "network"
@@ -78,7 +79,6 @@ class Network(Layer):
         self.n_classes = n_classes
         self.input_size = input_size
         self.base_channels = base_channels
-        self._split = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -120,7 +120,7 @@ class Network(Layer):
         for relu in relus:
             relu._margins = margins
         try:
-            self.forward_logits(x, training=False)
+            self.forward_logits(x)
         finally:
             for relu in relus:
                 del relu._margins
@@ -148,21 +148,19 @@ class Network(Layer):
             )
         return x
 
-    def _fused(self, x: np.ndarray, training: bool, rng: Prng | np.ndarray | None) -> np.ndarray:
+    def _fused(self, x: np.ndarray) -> np.ndarray:
         """Both branches' pooled features of x, concatenated."""
         fa = x
         for layer in self.branch_a:
-            fa = layer.forward(fa, training=training, rng=rng)
+            fa = layer.forward(fa)
         fb = x
         for layer in self.branch_b:
-            fb = layer.forward(fb, training=training, rng=rng)
-        self._split = fa.shape[1]
+            fb = layer.forward(fb)
         return np.concatenate([fa, fb], axis=1)
 
-    def forward_logits(self, x, training: bool = False,
-                       rng: Prng | np.ndarray | None = None) -> np.ndarray:
-        fused = self._fused(self._checked(x), training, rng)
-        return self.dense.forward(self.dropout.forward(fused, training=training, rng=rng))
+    def forward_logits(self, x, uniforms: np.ndarray | None = None) -> np.ndarray:
+        """Logits of x in one pass; dropout is on with `uniforms`, one per fused feature."""
+        return self.dense.forward(self.dropout.forward(self._fused(self._checked(x)), uniforms))
 
     def _instrumented(self) -> bool:
         """Whether a layer's forward or backward is an instance attribute: a timing or
@@ -239,7 +237,7 @@ class Network(Layer):
         x = self._checked(x)
         # an empty set still makes one (empty) pass, so its logits are (0, K)
         chunk, starts = _chunk_starts(x)
-        fused = self._map_chunks(lambda net, i: net._fused(x[i : i + chunk], False, None), starts)
+        fused = self._map_chunks(lambda net, i: net._fused(x[i : i + chunk]), starts)
         return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
 
     def train_step(self, x, labels, rng: Prng) -> tuple[float, np.ndarray | None]:
@@ -272,8 +270,7 @@ class Network(Layer):
 
         def step(net: Network, i: int):
             rows = slice(i, i + chunk)
-            part = net.forward_logits(x[rows], training=True,
-                                      rng=None if uniforms is None else uniforms[rows])
+            part = net.forward_logits(x[rows], None if uniforms is None else uniforms[rows])
             loss, grad, _ = softmax_cross_entropy(part, labels[rows], n)
             if not np.isfinite(loss):
                 return part, loss, None
@@ -295,15 +292,11 @@ class Network(Layer):
         """Accumulate every parameter gradient; the input gradient is not computed."""
         grad = self.dense.backward(grad_logits.astype(self.dtype, copy=False))
         grad = self.dropout.backward(grad)
-        ga, gb = grad[:, : self._split], grad[:, self._split :]
+        ga, gb = grad[:, : self.base_channels], grad[:, self.base_channels :]
         for layer in reversed(self.branch_a):
             ga = layer.backward(ga)
         for layer in reversed(self.branch_b):
             gb = layer.backward(gb)
-
-    def forward(self, x) -> np.ndarray:
-        """Class probabilities with dropout disabled."""
-        return softmax(self.inference_logits(x))
 
 
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
@@ -376,8 +369,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, batch_size: in
 
 
 def predict(network: Network, images) -> np.ndarray:
-    """Probability matrix (n, K); deterministic, rows sum to 1."""
-    return network.forward(images)
+    """Probability matrix (n, K) of `inference_logits`; deterministic, rows sum to 1."""
+    return softmax(network.inference_logits(images))
 
 
 def gradient_check(network: Network, sample, epsilon: float = 1e-5) -> float:
@@ -392,12 +385,12 @@ def gradient_check(network: Network, sample, epsilon: float = 1e-5) -> float:
     x = as_tensor4(x)
 
     def loss_value() -> float:
-        logits = network.forward_logits(x, training=False)
+        logits = network.forward_logits(x)
         loss, _, _ = softmax_cross_entropy(logits, labels)
         return loss
 
     network.zero_grads()
-    logits = network.forward_logits(x, training=False)
+    logits = network.forward_logits(x)
     _, dlogits, _ = softmax_cross_entropy(logits, labels)
     network.backward_from_logits(dlogits)
 

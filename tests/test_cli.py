@@ -319,6 +319,16 @@ def test_zero_base_channels_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: base_channels must be >= 1\n"
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs = 4\n# caf\xff\n")
+    assert run("train", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: cannot read config {str(path)!r}: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 # ---------------------------------------------------------------------------
 # fcm stage
 # ---------------------------------------------------------------------------
@@ -635,6 +645,70 @@ def test_stages_without_a_manifest_are_data_errors(tmp_path, capsys):
     assert run("fcm", "--config", cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: no manifest at ") and err.count("\n") == 1
+
+
+def preprocessed_manifest(tmp_path, cfg) -> Path:
+    for command in ("synth", "preprocess"):
+        assert run(command, "--config", cfg) == 0, command
+    return tmp_path / "out" / "preprocessed" / "manifest.csv"
+
+
+def test_a_manifest_path_that_leaves_its_root_is_data_error(workspace, capsys):
+    """fcm writes each entry's outputs at its path under out/fcm: an entry that climbs
+    out of the preprocessed root would have them written beside the source images."""
+    tmp_path, cfg = workspace
+    manifest = preprocessed_manifest(tmp_path, cfg)
+    with manifest.open("a", encoding="utf-8") as fh:
+        fh.write("../../dataset/blank/blank_000.pgm,0,blank\n")
+
+    def outside_output_dir():
+        return sorted(p for p in tmp_path.rglob("*") if not p.is_relative_to(tmp_path / "out"))
+
+    before = outside_output_dir()
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    assert capsys.readouterr().err == (f"data error: manifest {str(manifest)!r} lists "
+                                       "'../../dataset/blank/blank_000.pgm', which leaves its root\n")
+    assert outside_output_dir() == before
+
+
+def test_non_utf8_manifest_is_data_error_naming_it(workspace, capsys):
+    tmp_path, cfg = workspace
+    manifest = preprocessed_manifest(tmp_path, cfg)
+    manifest.write_bytes(manifest.read_bytes() + b"blank/caf\xff.pgm,0,blank\n")
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot decode manifest {str(manifest)!r}: "), err
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_run_record_is_data_error_naming_it(workspace, capsys):
+    tmp_path, cfg = workspace
+    preprocessed_manifest(tmp_path, cfg)
+    (tmp_path / "out" / "train").mkdir()
+    save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0, base_channels=4),
+                    tmp_path / "out" / "train" / "checkpoint.bin")
+    record = tmp_path / "out" / "runrecord_train.txt"
+    record.write_bytes(b"command: train\n\xff\n")
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot decode run record {str(record)!r}: "), err
+    assert err.count("\n") == 1
+
+
+def test_a_mask_with_samples_other_than_0_and_255_is_data_error(tmp_path, capsys):
+    """A mask of maxval 1 whose samples are all 1 would zero its image."""
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", fcm_mask_enabled="true")
+    preprocessed_manifest(tmp_path, cfg)
+    assert run("fcm", "--config", cfg) == 0
+    mask = tmp_path / "out" / "fcm" / "blank" / "blank_000_mask.pgm"
+    mask.write_bytes(b"P5\n32 32\n1\n" + bytes([1]) * 32 * 32)
+    capsys.readouterr()
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err == f"data error: mask {str(mask)!r} holds samples other than 0 and 255\n"
 
 
 def evaluate_corrupt_checkpoint(tmp_path, capsys, corrupt) -> str:

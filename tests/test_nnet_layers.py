@@ -460,16 +460,23 @@ def test_dense_gradients_match_finite_differences():
 def test_dropout_eval_mode_is_identity():
     dropout = Dropout(0.5)
     x = tensor(Prng(32), 2, 5)
-    assert np.array_equal(dropout.forward(x, training=False), x)
+    assert np.array_equal(dropout.forward(x), x)
+    assert np.array_equal(Dropout(0.0).forward(x, Prng(34).uniforms(x.shape)), x)
 
 
 def test_dropout_training_scales_kept_units():
     dropout = Dropout(0.5)
     x = np.ones((4, 50))
-    out = dropout.forward(x, training=True, rng=Prng(33))
+    out = dropout.forward(x, Prng(33).uniforms(x.shape))
     values = set(np.unique(out).tolist())
     assert values <= {0.0, 2.0}
     assert 0.0 in values and 2.0 in values
+
+
+def test_dropout_rejects_uniforms_of_another_shape():
+    x = np.ones((4, 50))
+    with pytest.raises(ValueError, match=r"^dropout needs \(4, 50\) uniforms, got \(4, 49\)$"):
+        Dropout(0.5).forward(x, Prng(35).uniforms((4, 49)))
 
 
 def test_dropout_validates_rate():

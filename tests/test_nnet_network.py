@@ -38,7 +38,7 @@ def sample_batch(rng, n, size):
 def test_forward_rows_are_probability_vectors():
     net = build_deepbrainnet_mini(16, 4, seed=1, dropout_rate=0.0, base_channels=4)
     x = sample_batch(Prng(2), 5, 16)
-    probs = net.forward(x)
+    probs = predict(net, x)
     assert probs.shape == (5, 4)
     assert probs.min() >= 0.0
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
@@ -129,7 +129,7 @@ def test_chunked_predict_equals_one_whole_forward_at_224_px():
     net = build_deepbrainnet_mini(224, 4, seed=31)
     for n in sorted({1, 2, CHUNK_224 + 1}):  # the last leaves a one-image tail chunk
         x = Prng(32 + n).uniforms((n, 3, 224, 224))
-        whole = softmax(net.forward_logits(x, training=False))
+        whole = softmax(net.forward_logits(x))
         assert np.array_equal(predict(net, x), whole), n
 
 
@@ -178,7 +178,7 @@ def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward(monkeypa
     """With one worker and with four (each holding one chunk's working set)."""
     net = build_deepbrainnet_mini(224, 4, seed=37)
     x = Prng(38).uniforms((24, 3, 224, 224))
-    whole = _peak_bytes(lambda: net.forward_logits(x, training=False))
+    whole = _peak_bytes(lambda: net.forward_logits(x))
     for workers in (1, 4):
         pin_workers(monkeypatch, workers)
         chunked = _peak_bytes(lambda: predict(net, x))
@@ -188,7 +188,8 @@ def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward(monkeypa
 def _whole_batch_step(net, x, labels, rng):
     """One training step without micro-batches: the reference for `train_step`."""
     net.zero_grads()
-    loss, grad, probs = softmax_cross_entropy(net.forward_logits(x, training=True, rng=rng), labels)
+    uniforms = rng.uniforms((x.shape[0], net.dense.features_in))
+    loss, grad, probs = softmax_cross_entropy(net.forward_logits(x, uniforms), labels)
     net.backward_from_logits(grad)
     return loss, probs
 
@@ -215,6 +216,21 @@ def test_micro_batched_step_matches_the_whole_batch_step_at_224_px():
     assert np.array_equal(probs[:CHUNK_224], whole_probs[:CHUNK_224])
     assert np.abs(probs - whole_probs).max() <= 1e-15
     assert micro_rng.next_u64() == whole_rng.next_u64()  # dropout drew the same stream
+
+
+def test_a_one_chunk_train_step_is_forward_logits_on_the_batch_uniforms():
+    """A batch that fits one chunk: `train_step` gives the loss, probabilities and
+    gradients of `forward_logits(x, uniforms)` on the batch's one draw, bit for bit."""
+    net = build_deepbrainnet_mini(32, 4, seed=96)
+    x = Prng(97).uniforms((6, 3, 32, 32))
+    labels = np.arange(6) % 4
+    assert len(network_module._chunk_starts(x)[1]) == 1
+    whole_loss, whole_probs = _whole_batch_step(net, x, labels, Prng(98))
+    whole_grads = [g.copy() for g in net.gradients()]
+    loss, probs = net.train_step(x, labels, Prng(98))
+    assert loss == whole_loss and np.array_equal(probs, whole_probs)
+    for (name, _, grad), reference in zip(net.named_parameters(), whole_grads, strict=True):
+        assert np.array_equal(grad, reference), name
 
 
 def test_micro_batched_step_holds_under_three_quarters_of_the_whole_step_memory(monkeypatch):
@@ -244,7 +260,8 @@ def _one_pass_gradients(net, x, labels, seed):
     rng = Prng(seed)
     net.zero_grads()
     for i in starts:
-        part = net.forward_logits(x[i : i + chunk], training=True, rng=rng)
+        rows = x[i : i + chunk]
+        part = net.forward_logits(rows, rng.uniforms((rows.shape[0], net.dense.features_in)))
         _, grad, _ = softmax_cross_entropy(part, labels[i : i + chunk], x.shape[0])
         net.backward_from_logits(grad)
     return [g.copy() for g in net.gradients()]
