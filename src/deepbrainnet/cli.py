@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .config import ConfigError, RunConfig, parse_config
 from .dataio import (
     DatasetError,
@@ -254,24 +254,36 @@ def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
     return image
 
 
+def _preprocess_one(config: RunConfig, manifest: DatasetManifest, rel_path: str) -> str | None:
+    """Crop, resize, enhance and save one dataset image; its skip message, or None."""
+    try:
+        image = load_pgm(manifest.full_path(rel_path))
+        cropped = auto_crop_margins(image, config.background_threshold)
+        resized = resize_bilinear(cropped, config.image_size, config.image_size)
+        enhanced = _enhance(config, resized)
+        out_path = os.path.join(_preprocessed_dir(config), rel_path)
+        os.makedirs(os.path.dirname(out_path), exist_ok=True)
+        save_pgm(enhanced, out_path)
+    except (PgmError, ValueError, OSError) as exc:
+        return str(exc)
+    return None
+
+
 def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     manifest = scan_dataset(config.dataset_root)
     out_root = _preprocessed_dir(config)
+    # one image per job on the workers; the skips are reported in manifest order
+    skips = parallel.map_on_workers(lambda _, rel_path: _preprocess_one(config, manifest, rel_path),
+                                    [rel_path for rel_path, _ in manifest.entries],
+                                    item_pixels=config.image_size ** 2)
     written = []
     failures = []
-    for rel_path, class_index in manifest.entries:
-        try:
-            image = load_pgm(manifest.full_path(rel_path))
-            cropped = auto_crop_margins(image, config.background_threshold)
-            resized = resize_bilinear(cropped, config.image_size, config.image_size)
-            enhanced = _enhance(config, resized)
-            out_path = os.path.join(out_root, rel_path)
-            os.makedirs(os.path.dirname(out_path), exist_ok=True)
-            save_pgm(enhanced, out_path)
+    for (rel_path, class_index), skip in zip(manifest.entries, skips):
+        if skip is None:
             written.append((rel_path, class_index))
-        except (PgmError, ValueError, OSError) as exc:
-            failures.append((rel_path, str(exc)))
-            print(f"preprocess: skipped {rel_path}: {exc}", file=sys.stderr)
+        else:
+            failures.append(rel_path)
+            print(f"preprocess: skipped {rel_path}: {skip}", file=sys.stderr)
     if failures and len(failures) > 0.10 * len(manifest):
         raise DatasetError(
             f"preprocess failed on {len(failures)} of {len(manifest)} images (> 10%)"
@@ -310,8 +322,7 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         save_pgm(label_map, labels_path)
         memberships_path = os.path.join(out_root, f"{stem}_U.csv")
         centroids_path = os.path.join(out_root, f"{stem}_V.csv")
-        levels = np.unique(image.data)  # the rows of result.memberships, ascending
-        save_matrix_csv(np.column_stack([levels, result.memberships]), memberships_path)
+        save_matrix_csv(np.column_stack([result.levels, result.memberships]), memberships_path)
         save_matrix_csv(result.centroids, centroids_path)
         artifacts.extend([labels_path, memberships_path, centroids_path])
         if config.fcm_mask_enabled:
@@ -322,7 +333,7 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         summaries.append(f"{rel_path},{format_run_summary(result)}")
         iterations.append(result.iterations_run)
         converged += result.converged
-        level_counts.append(levels.size)
+        level_counts.append(result.levels.size)
     summary_path = os.path.join(out_root, "summaries.csv")
     write_atomic(summary_path, "\n".join(["path,iterations,final_shift,converged", *summaries]) + "\n")
     artifacts.append(summary_path)

@@ -15,6 +15,7 @@ from pathlib import PurePath
 
 import numpy as np
 
+from . import parallel
 from .rng import Prng, derive_seed
 
 
@@ -326,19 +327,27 @@ def manifest_from_csv(path, root: str) -> DatasetManifest:
     """Read a manifest whose paths are relative to `root` and stay below it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            lines = [(number, line.rstrip("\n")) for number, line in enumerate(fh, 1) if line.strip()]
     except UnicodeDecodeError as exc:
         raise DatasetError(f"cannot decode manifest {path!r}: {exc}") from exc
-    if not lines or lines[0] != "path,class_index,class_name":
+    if not lines or lines[0][1] != "path,class_index,class_name":
         raise DatasetError(f"bad manifest header in {path!r}")
     entries = []
     names: dict[int, str] = {}
-    for line in lines[1:]:
-        rel_path, idx_s, name = line.split(",", 2)
+    for number, line in lines[1:]:
+        fields = line.split(",", 2)
+        if len(fields) < 3:
+            raise DatasetError(f"manifest {path!r} line {number} has {len(fields)} of the 3 fields "
+                               "path,class_index,class_name")
+        rel_path, idx_s, name = fields
         rel = PurePath(rel_path)
         if rel.anchor or ".." in rel.parts:
             raise DatasetError(f"manifest {path!r} lists {rel_path!r}, which leaves its root")
-        idx = int(idx_s)
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise DatasetError(f"manifest {path!r} line {number} has the class index {idx_s!r}, "
+                               "not an integer") from None
         entries.append((rel_path, idx))
         names[idx] = name
     class_names = tuple(names[i] for i in sorted(names))
@@ -391,7 +400,9 @@ def generate_synthetic_dataset(
 
     Classes (blank noise, bright blob, bright ring, vertical stripes) occupy
     distinct intensity bands and spatial patterns, so a small classifier can
-    separate them. Identical seeds give bit-identical files. The manifest
+    separate them. Identical seeds give bit-identical files: each image is
+    drawn from its own stream, one job per image on `parallel.map_on_workers`.
+    The manifest
     lists the files written by this call only, in `scan_dataset` order, so
     files an earlier run left under root_dir are not counted as its output.
     """
@@ -400,12 +411,17 @@ def generate_synthetic_dataset(
     if image_size < 16:
         raise ValueError(f"image_size must be >= 16, got {image_size}")
     root_dir = os.fspath(root_dir)
-    entries = []
-    for class_idx, name in enumerate(SYNTHETIC_CLASSES):
+    for name in SYNTHETIC_CLASSES:
         os.makedirs(os.path.join(root_dir, name), exist_ok=True)
-        for i in range(n_per_class):
-            rng = Prng(derive_seed(seed, class_idx, i))
-            rel = f"{name}/{name}_{i:03d}.pgm"
-            save_pgm(_texture(name, image_size, rng), os.path.join(root_dir, rel))
-            entries.append((rel, class_idx))
+
+    def write(_, job: tuple[int, int]) -> tuple[str, int]:
+        class_idx, i = job
+        name = SYNTHETIC_CLASSES[class_idx]
+        rel = f"{name}/{name}_{i:03d}.pgm"
+        rng = Prng(derive_seed(seed, class_idx, i))
+        save_pgm(_texture(name, image_size, rng), os.path.join(root_dir, rel))
+        return rel, class_idx
+
+    jobs = [(class_idx, i) for class_idx in range(len(SYNTHETIC_CLASSES)) for i in range(n_per_class)]
+    entries = parallel.map_on_workers(write, jobs, item_pixels=image_size * image_size)
     return DatasetManifest(root_dir, tuple(sorted(entries)), SYNTHETIC_CLASSES)

@@ -60,6 +60,7 @@ class FcmResult:
     iterations_run: int
     final_shift: float
     converged: bool
+    levels: np.ndarray | None = None  # from fcm_segment, the gray level of each membership row
 
 
 def _as_points(points) -> np.ndarray:
@@ -187,8 +188,9 @@ def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResu
     Clusters the distinct gray levels, each weighted by its pixel count, from
     centroids drawn from those levels. Clusters are numbered by ascending
     centroid, so label 0 is the darkest. The result's memberships have one row
-    per distinct level, in ascending order. Labels are membership argmax with
-    ties broken toward the lower, darker cluster.
+    per distinct level, in ascending order, and its `levels` lists those levels.
+    Labels are membership argmax with ties broken toward the lower, darker
+    cluster.
     """
     if config.c > 256:
         raise ValueError("label maps are 8-bit; cluster count must be <= 256")
@@ -199,6 +201,7 @@ def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResu
     order = np.argsort(result.centroids[:, 0], kind="stable")
     result.centroids = result.centroids[order]
     result.memberships = result.memberships[:, order]
+    result.levels = levels
     labels = np.argmax(result.memberships, axis=1).astype(np.uint8)[inverse]
     label_map = GrayImage(image.width, image.height, labels.reshape(image.height, image.width))
     return label_map, result

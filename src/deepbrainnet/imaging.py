@@ -31,8 +31,11 @@ _WARP_CHUNK_PIXELS = 1 << 17
 
 
 def _round_u8(values) -> np.ndarray:
-    """Round half-up then clamp to the 8-bit range."""
-    return np.clip(np.floor(np.asarray(values, dtype=np.float64) + 0.5), 0, 255).astype(np.uint8)
+    """Round half-up then clamp to the 8-bit range, in one float64 buffer."""
+    rounded = np.add(values, 0.5, dtype=np.float64)
+    np.floor(rounded, out=rounded)
+    np.clip(rounded, 0, 255, out=rounded)
+    return rounded.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +114,16 @@ class CannyParams:
 
 
 def resize_bilinear(image: GrayImage, new_w: int, new_h: int) -> GrayImage:
-    """Resample with bilinear interpolation under the half-pixel-center convention."""
+    """Resample with bilinear interpolation under the half-pixel-center convention.
+
+    Each source row is interpolated along x once; each target row then blends
+    the two source rows around it. At the source size every sample lands on a
+    pixel with weight 1, so the image comes back as it is.
+    """
     if new_w < 1 or new_h < 1:
         raise ValueError(f"target dimensions must be positive, got {new_w}x{new_h}")
-    src = image.data.astype(np.float64)
+    if (new_w, new_h) == (image.width, image.height):
+        return image
     scale_x = image.width / new_w
     scale_y = image.height / new_h
     xs = np.clip((np.arange(new_w) + 0.5) * scale_x - 0.5, 0, image.width - 1)
@@ -125,20 +134,22 @@ def resize_bilinear(image: GrayImage, new_w: int, new_h: int) -> GrayImage:
     y1 = np.minimum(y0 + 1, image.height - 1)
     fx = xs - x0
     fy = (ys - y0)[:, None]
-    top = (1 - fx) * src[np.ix_(y0, x0)] + fx * src[np.ix_(y0, x1)]
-    bottom = (1 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
-    return GrayImage(new_w, new_h, _round_u8((1 - fy) * top + fy * bottom))
+    rows = (1 - fx) * image.data[:, x0] + fx * image.data[:, x1]
+    return GrayImage(new_w, new_h, _round_u8((1 - fy) * rows[y0] + fy * rows[y1]))
 
 
 def auto_crop_margins(image: GrayImage, background_threshold: int) -> GrayImage:
     """Crop to the tight bounding box of pixels brighter than the threshold."""
     mask = image.data > background_threshold
-    if not mask.any():
+    rows = mask.any(axis=1)
+    if not rows.any():
         raise ValueError(
             f"no pixel exceeds background threshold {background_threshold}; cannot crop"
         )
-    ys, xs = np.nonzero(mask)
-    sub = image.data[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+    cols = mask.any(axis=0)
+    top, left = rows.argmax(), cols.argmax()
+    bottom, right = rows.size - rows[::-1].argmax(), cols.size - cols[::-1].argmax()
+    sub = image.data[top:bottom, left:right]
     return GrayImage(sub.shape[1], sub.shape[0], sub)
 
 
@@ -150,11 +161,20 @@ def auto_crop_margins(image: GrayImage, background_threshold: int) -> GrayImage:
 def box_blur(image: GrayImage, m: int, n: int) -> GrayImage:
     """Unweighted m-wide by n-tall mean filter with edge replication.
 
-    m and n must be odd so the window is centered on the output pixel.
+    m and n must be odd so the window is centered on the output pixel. The
+    window sums are exact integer sums, taken along x and then along y.
     """
     if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
         raise ValueError(f"kernel dimensions must be odd and positive, got {m}x{n}")
-    total = _correlate2d_replicate(image.data.astype(np.float64), np.ones((n, m)))
+    h, w = image.data.shape
+    dtype = np.int32 if m * n < 1 << 23 else np.int64  # holds a window sum, at most 255 * m * n
+    padded = np.pad(image.data.astype(dtype), ((n // 2, n // 2), (m // 2, m // 2)), mode="edge")
+    rows = padded[:, :w].copy()
+    for i in range(1, m):
+        rows += padded[:, i : i + w]
+    total = rows[:h].copy()
+    for j in range(1, n):
+        total += rows[j : j + h]
     return GrayImage(image.width, image.height, _round_u8(total / (m * n)))
 
 
@@ -190,10 +210,11 @@ def clahe(image: GrayImage, params: ClaheParams) -> GrayImage:
     by = [(j * image.height) // ty for j in range(ty + 1)]
 
     # all tiles' histograms from one bincount over tile * 256 + level
-    tile_row = np.repeat(np.arange(ty) * tx, np.diff(by))
-    tile_col = np.repeat(np.arange(tx), np.diff(bx))
-    tile_of = tile_row[:, None] + tile_col
-    hist = np.bincount((tile_of * 256 + image.data).ravel(), minlength=tx * ty * 256)
+    tile_row = np.repeat(np.arange(ty) * (tx * 256), np.diff(by))
+    tile_col = np.repeat(np.arange(tx) * 256, np.diff(bx))
+    bins = tile_row[:, None] + tile_col
+    bins += image.data
+    hist = np.bincount(bins.ravel(), minlength=tx * ty * 256)
     hist = hist.reshape(tx * ty, 256).astype(np.float64)
     npx = (np.diff(by)[:, None] * np.diff(bx)).reshape(-1, 1)
     clip = params.clip_limit * npx / 256.0
@@ -219,15 +240,28 @@ def clahe(image: GrayImage, params: ClaheParams) -> GrayImage:
     i0, i1, wx = blend_axis(np.arange(image.width, dtype=np.float64), centers_x)
     j0, j1, wy = blend_axis(np.arange(image.height, dtype=np.float64), centers_y)
 
-    level = image.data.astype(np.intp)
-    rows0, rows1 = (j0 * tx)[:, None], (j1 * tx)[:, None]
-    m00 = maps.take((rows0 + i0) * 256 + level)
-    m01 = maps.take((rows0 + i1) * 256 + level)
-    m10 = maps.take((rows1 + i0) * 256 + level)
-    m11 = maps.take((rows1 + i1) * 256 + level)
-    wxr = wx[None, :]
-    wyr = wy[:, None]
-    blended = (1 - wyr) * ((1 - wxr) * m00 + wxr * m01) + wyr * ((1 - wxr) * m10 + wxr * m11)
+    # the four neighbour tiles' map entries, stepping one index array between them
+    index = np.add((j0 * (tx * 256))[:, None], i0 * 256, out=bins)
+    index += image.data
+    m00 = maps.take(index)
+    step_x = (i1 - i0) * 256
+    index += step_x
+    m01 = maps.take(index)
+    index += ((j1 - j0) * (tx * 256))[:, None]
+    m11 = maps.take(index)
+    index -= step_x
+    m10 = maps.take(index)
+    # (1 - wy) * ((1 - wx) * m00 + wx * m01) + wy * ((1 - wx) * m10 + wx * m11), in place
+    m00 *= 1 - wx
+    m01 *= wx
+    m00 += m01
+    m10 *= 1 - wx
+    m11 *= wx
+    m10 += m11
+    m00 *= (1 - wy)[:, None]
+    m10 *= wy[:, None]
+    blended = m00
+    blended += m10
     return GrayImage(image.width, image.height, _round_u8(blended))
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import copy
 import math
-import os
-import threading
 
 import numpy as np
 
+from .. import parallel
 from ..rng import Prng, derive_seed
 from .layers import (
     Conv2d,
@@ -42,14 +41,6 @@ def _chunk_starts(x: np.ndarray) -> tuple[int, range]:
     """Images per chunk of x, and the chunks' first rows; an empty x has one chunk."""
     chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
     return chunk, range(0, max(x.shape[0], 1), chunk)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: one chunk worker each."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 class Network(Layer):
@@ -184,43 +175,14 @@ class Network(Layer):
     def _map_chunks(self, run, starts: range) -> list:
         """[run(network, i) for i in starts], the chunks spread over worker threads.
 
-        One worker per available CPU, at most one per chunk, takes the next
-        chunk in turn and runs it on its own replica, under the caller's numpy
-        error state (which is per thread). The results come back in chunk
-        order; so does the first exception, which the caller gets unchanged.
-        With one worker, or wrappers on the layers (which a replica would
-        share with this network across threads), the chunks run on this
-        network in the calling thread. Every worker has ended on return.
+        Each worker of `parallel.map_on_workers` runs its chunks on its own
+        replica. With one worker, or wrappers on the layers (which a replica
+        would share with this network across threads), the chunks run on this
+        network in the calling thread.
         """
-        workers = min(_available_cpus(), len(starts))
-        if workers < 2 or self._instrumented():
+        if min(parallel.available_cpus(), len(starts)) < 2 or self._instrumented():
             return [run(self, i) for i in starts]
-        outcomes: list = [None] * len(starts)
-        todo = iter(range(len(starts)))
-        lock = threading.Lock()
-        errors = np.geterr()
-
-        def work(replica: Network) -> None:
-            with np.errstate(**errors):
-                while True:
-                    with lock:
-                        k = next(todo, None)
-                    if k is None:
-                        return
-                    try:
-                        outcomes[k] = (run(replica, starts[k]), None)
-                    except BaseException as error:  # raised again below, in chunk order
-                        outcomes[k] = (None, error)
-
-        threads = [threading.Thread(target=work, args=(self._replica(),)) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for _, error in outcomes:
-            if error is not None:
-                raise error
-        return [result for result, _ in outcomes]
+        return parallel.map_on_workers(run, starts, self._replica)
 
     def inference_logits(self, x) -> np.ndarray:
         """Logits with dropout disabled, the branches run over cache-sized chunks.

@@ -15,9 +15,11 @@ Array draws (`uniforms`, `belows`) produce exactly the numbers, and leave the
 state exactly where, the same count of scalar draws would. They read a block
 of the stream at once: the xorshift step is linear over GF(2), so its 64x64
 bit matrix raised to a power jumps a state ahead (the powers T**(2**k) are
-precomputed once). Up to 256 lanes start one block length apart in the stream
-and step together in numpy; reading the lanes one after the other gives the
-stream in order. `normals` stays a scalar loop, because numpy's log and cos
+precomputed once). Up to 1024 lanes start one block of 2**k states apart in the
+stream and step together in numpy; reading the lanes one after the other gives
+the stream in order. The lane starts double: lanes [m, 2m) are lanes [0, m)
+jumped by one power, so each lane costs one matrix apply (the jump-ahead of
+Haramoto et al., INFORMS J. Computing 2008). `normals` stays a scalar loop, because numpy's log and cos
 are not guaranteed to round like `math.log` and `math.cos`.
 """
 
@@ -33,7 +35,7 @@ _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _SPLITMIX_INC = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MAX_LANES = 256
+_MAX_LANES = 1024
 _BITS = np.arange(64, dtype=np.uint64)
 
 
@@ -174,13 +176,14 @@ class Prng:
         """The next `count` xorshift64* states, leaving the stream after the last."""
         if count <= 0:
             return np.empty(0, dtype=np.uint64)
-        lanes = min(_MAX_LANES, math.isqrt(count))
-        length = -(-count // lanes)
-        starts = np.full(lanes, self._state, dtype=np.uint64)
-        offsets = np.arange(lanes) * length  # lane j starts j * length steps ahead
-        for k in range(int(offsets[-1]).bit_length()):
-            jump = ((offsets >> k) & 1) == 1
-            starts[jump] = _gf2_apply(_STEP_POWERS[k], starts[jump])
+        # blocks of 2**k states, about a quarter of sqrt(count), in at most _MAX_LANES lanes
+        k = max(0, count.bit_length() // 2 - 2, (count - 1).bit_length() - _MAX_LANES.bit_length() + 1)
+        length = 1 << k
+        lanes = -(-count // length)
+        starts = np.array([self._state], dtype=np.uint64)
+        while starts.size < lanes:  # lanes [m, 2m) are lanes [0, m) jumped m * 2**k steps
+            jump = _STEP_POWERS[k + starts.size.bit_length() - 1]
+            starts = np.concatenate([starts, _gf2_apply(jump, starts[: lanes - starts.size])])
         block = np.empty((length, lanes), dtype=np.uint64)
         scratch = np.empty(lanes, dtype=np.uint64)
         x = starts

@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepbrainnet import cli
+from deepbrainnet import cli, parallel
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
 from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, save_checkpoint
-from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -208,6 +207,42 @@ def test_preprocess_skips_bad_files_up_to_threshold(workspace, capsys):
     assert "skipped" in err
     images = list((tmp_path / "out" / "preprocessed").rglob("*.pgm"))
     assert len(images) == 15
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_and_preprocess_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    trees = []
+    for workers in (1, 4):
+        monkeypatch.setattr(parallel, "available_cpus", lambda workers=workers: workers)
+        root = tmp_path / f"workers{workers}"
+        cfg = write_config(root.with_suffix(".cfg"), dataset_root=root / "dataset",
+                           output_dir=root / "out", synth_per_class=5, image_size=96)
+        for command in ("synth", "preprocess"):
+            assert run(command, "--config", cfg) == 0, (workers, command)
+        (root / "out" / "runrecord_synth.txt").unlink()  # they name their paths and seconds
+        (root / "out" / "runrecord_preprocess.txt").unlink()
+        trees.append(_tree_bytes(root))
+    assert len(trees[0]) == 2 * 20 + 1  # the dataset, the preprocessed images and manifest.csv
+    assert trees[0] == trees[1]
+
+
+def test_preprocess_on_workers_reports_skips_in_manifest_order(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", synth_per_class=10, image_size=96)
+    assert run("synth", "--config", cfg) == 0
+    victims = ["blob/blob_007.pgm", "ring/ring_002.pgm"]
+    for victim in victims:
+        (tmp_path / "dataset" / victim).write_bytes(b"P5 trash")
+    capsys.readouterr()
+    assert run("preprocess", "--config", cfg) == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines() if "skipped" in line]
+    assert [line.split()[2].rstrip(":") for line in skipped] == victims
+    listed = (tmp_path / "out" / "preprocessed" / "manifest.csv").read_text(encoding="utf-8")
+    assert len(listed.splitlines()) == 1 + 40 - 2 and not any(v in listed for v in victims)
 
 
 def test_preprocess_aborts_over_failure_threshold(workspace):
@@ -683,6 +718,22 @@ def test_non_utf8_manifest_is_data_error_naming_it(workspace, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row,problem", [
+    ("blank/blank_000.pgm", "has 1 of the 3 fields path,class_index,class_name"),
+    ("blank/blank_000.pgm,x,blank", "has the class index 'x', not an integer"),
+])
+def test_a_malformed_manifest_row_is_data_error_naming_its_line(workspace, capsys, row, problem):
+    tmp_path, cfg = workspace
+    manifest = preprocessed_manifest(tmp_path, cfg)
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("\n".join([*lines, "", row]) + "\n", encoding="utf-8")  # a blank line counts
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: manifest {str(manifest)!r} line {len(lines) + 2} {problem}\n", err
+    assert "Traceback" not in err
+
+
 def test_non_utf8_run_record_is_data_error_naming_it(workspace, capsys):
     tmp_path, cfg = workspace
     preprocessed_manifest(tmp_path, cfg)
@@ -763,7 +814,7 @@ def test_evaluate_on_224_px_overflowing_weights_on_workers_is_numeric_failure(
     """At 224 px each validation image is a chunk that a worker thread runs, and numpy's
     error state is per thread: the workers take evaluate's, so the overflow is one
     `numeric failure` line, not a RuntimeWarning raised in a worker."""
-    monkeypatch.setattr(network_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
                        output_dir=tmp_path / "out", image_size=224, synth_per_class=2,
                        train_fraction=0.5)

@@ -145,6 +145,91 @@ def test_blur_preserves_mean_with_constant_border():
 
 
 # ---------------------------------------------------------------------------
+# resize, crop and blur against the forms they were first written in
+# ---------------------------------------------------------------------------
+
+
+def _round_half_up_u8(values) -> np.ndarray:
+    return np.clip(np.floor(np.asarray(values, dtype=np.float64) + 0.5), 0, 255).astype(np.uint8)
+
+
+def reference_resize(image: GrayImage, new_w: int, new_h: int) -> np.ndarray:
+    """Four corner gathers over the float image, then the blend along x and y."""
+    src = image.data.astype(np.float64)
+    xs = np.clip((np.arange(new_w) + 0.5) * (image.width / new_w) - 0.5, 0, image.width - 1)
+    ys = np.clip((np.arange(new_h) + 0.5) * (image.height / new_h) - 0.5, 0, image.height - 1)
+    x0, y0 = np.floor(xs).astype(int), np.floor(ys).astype(int)
+    x1, y1 = np.minimum(x0 + 1, image.width - 1), np.minimum(y0 + 1, image.height - 1)
+    fx, fy = xs - x0, (ys - y0)[:, None]
+    top = (1 - fx) * src[np.ix_(y0, x0)] + fx * src[np.ix_(y0, x1)]
+    bottom = (1 - fx) * src[np.ix_(y1, x0)] + fx * src[np.ix_(y1, x1)]
+    return _round_half_up_u8((1 - fy) * top + fy * bottom)
+
+
+def reference_box_blur(image: GrayImage, m: int, n: int) -> np.ndarray:
+    """One float tap per window position over the edge-padded image."""
+    padded = np.pad(image.data.astype(np.float64), ((n // 2, n // 2), (m // 2, m // 2)), mode="edge")
+    total = np.zeros((image.height, image.width))
+    for j in range(n):
+        for i in range(m):
+            total += padded[j : j + image.height, i : i + image.width]
+    return _round_half_up_u8(total / (m * n))
+
+
+def reference_crop(image: GrayImage, threshold: int) -> np.ndarray | None:
+    """The bounding box of every bright pixel's coordinates; None with no bright pixel."""
+    ys, xs = np.nonzero(image.data > threshold)
+    if ys.size == 0:
+        return None
+    return image.data[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+
+
+def _blocky_image(seed: int, w: int, h: int) -> GrayImage:
+    """Noise in a random rectangle on a black background."""
+    rng = Prng(seed)
+    data = np.zeros((h, w), dtype=np.uint8)
+    top, left = rng.below(h), rng.below(w)
+    bottom, right = top + 1 + rng.below(h - top), left + 1 + rng.below(w - left)
+    data[top:bottom, left:right] = random_planes(seed, 1, right - left, bottom - top)[0]
+    return GrayImage(w, h, data)
+
+
+@pytest.mark.parametrize("width,height", [(37, 29), (16, 61), (1, 9), (50, 50)])
+def test_resize_matches_the_corner_gather_reference(width, height):
+    image = GrayImage(width, height, random_planes(81, 1, width, height)[0])
+    rng = Prng(82)
+    targets = [(width, height), (2 * width + 3, height), (width, max(1, height // 3)),
+               (max(1, width // 2), 2 * height), (224, 224), (1, 1)]
+    targets += [(1 + rng.below(90), 1 + rng.below(90)) for _ in range(6)]
+    for new_w, new_h in targets:
+        got = resize_bilinear(image, new_w, new_h)
+        assert (got.width, got.height) == (new_w, new_h)
+        assert np.array_equal(got.data, reference_resize(image, new_w, new_h)), (new_w, new_h)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 9])
+@pytest.mark.parametrize("n", [1, 3, 7, 9])
+def test_box_blur_matches_the_float_tap_reference(m, n):
+    for width, height in ((23, 17), (4, 12)):  # a kernel wider or taller than the image too
+        image = GrayImage(width, height, random_planes(m * 10 + n, 1, width, height)[0])
+        assert np.array_equal(box_blur(image, m, n).data, reference_box_blur(image, m, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_auto_crop_matches_the_nonzero_reference(seed):
+    image = _blocky_image(seed, 31, 22)
+    for threshold in (0, 1, 30, 128, 254, 255):  # 255 crops everything away
+        want = reference_crop(image, threshold)
+        if want is None:
+            with pytest.raises(ValueError, match="no pixel exceeds"):
+                auto_crop_margins(image, threshold)
+        else:
+            assert np.array_equal(auto_crop_margins(image, threshold).data, want), threshold
+    full = GrayImage(7, 5, np.full((5, 7), 9, dtype=np.uint8))
+    assert auto_crop_margins(full, 8) == full  # every pixel bright: nothing cropped
+
+
+# ---------------------------------------------------------------------------
 # histogram equalization
 # ---------------------------------------------------------------------------
 

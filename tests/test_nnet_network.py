@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deepbrainnet import parallel
 from deepbrainnet.nnet import (
     CheckpointError,
     LayerSpec,
@@ -161,7 +162,7 @@ def test_predict_runs_the_branches_in_cache_sized_chunks():
 
 def pin_workers(monkeypatch, workers):
     """Run the chunks on `workers` threads whatever this machine's CPU count."""
-    monkeypatch.setattr(network_module, "_available_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: workers)
 
 
 def _peak_bytes(run) -> int:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from deepbrainnet import parallel
 from deepbrainnet.nnet import (
     Adam,
     NonFiniteLossError,
@@ -183,7 +184,7 @@ def test_a_poisoned_later_micro_batch_never_reaches_adam(monkeypatch):
     (train_x, train_y), val_set = build_and_split()
     image_bytes = train_x[0].nbytes
     monkeypatch.setattr(network_module, "_CHUNK_BYTES", 2 * image_bytes)  # 2 images a chunk
-    monkeypatch.setattr(network_module, "_available_cpus", lambda: 2)  # chunks on workers
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)  # chunks on workers
     order = list(range(len(train_y)))
     Prng(5).shuffle(order)  # the first epoch's order: `train` draws it first from the seed
     train_x = train_x.copy()

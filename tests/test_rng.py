@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from deepbrainnet import rng as rng_module
 from deepbrainnet.rng import Prng, derive_seed, fnv1a64, splitmix64, stage_seed
 
 
@@ -111,6 +113,37 @@ def test_belows_equal_scalar_stream(count):
     assert got.dtype == np.uint64 and got.shape == (count,)
     assert got.tolist() == [scalar.below(n) for n in bounds]
     assert block.next_u64() == scalar.next_u64()
+
+
+def reference_states(rng: Prng, count: int) -> np.ndarray:
+    """The lane layout `_states` was first written with: up to 256 lanes, sqrt(count)
+    long, each jumped to its start by one matrix apply per set bit of its offset."""
+    lanes = min(256, math.isqrt(count))
+    length = -(-count // lanes)
+    starts = np.full(lanes, rng._state, dtype=np.uint64)
+    offsets = np.arange(lanes) * length
+    for k in range(int(offsets[-1]).bit_length()):
+        jump = ((offsets >> k) & 1) == 1
+        starts[jump] = rng_module._gf2_apply(rng_module._STEP_POWERS[k], starts[jump])
+    block = np.empty((length, lanes), dtype=np.uint64)
+    x = starts
+    for row in block:
+        row[...] = x ^ (x >> np.uint64(12))
+        row ^= row << np.uint64(25)
+        row ^= row >> np.uint64(27)
+        x = row
+    states = block.T.ravel()[:count]
+    rng._state = int(states[-1])
+    return states
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 24, 255, 1024, 1025, 4097, 2**17 + 3, 200_000])
+def test_states_match_the_bit_jump_reference(count):
+    for seed in (count, 2**64 - 1 - count):
+        block, reference = Prng(seed), Prng(seed)
+        for size in (count, 1, count // 3 + 1):  # each draw starts where the last ended
+            assert np.array_equal(block._states(size), reference_states(reference, size)), size
+            assert block._state == reference._state, size
 
 
 def test_belows_keeps_below_rejection_rule():
