@@ -190,20 +190,24 @@ def fcm_segment(image: GrayImage, config: FcmConfig) -> tuple[GrayImage, FcmResu
     centroid, so label 0 is the darkest. The result's memberships have one row
     per distinct level, in ascending order, and its `levels` lists those levels.
     Labels are membership argmax with ties broken toward the lower, darker
-    cluster.
+    cluster. Levels and counts come from one 256-bin histogram, and each pixel
+    takes its label from a 256-entry table (EnFCM's histogram form, Szilagyi
+    et al., IEEE EMBS 2003).
     """
     if config.c > 256:
         raise ValueError("label maps are 8-bit; cluster count must be <= 256")
-    levels, inverse, counts = np.unique(image.data.ravel(), return_inverse=True, return_counts=True)
+    histogram = np.bincount(image.data.ravel(), minlength=256)
+    levels = np.flatnonzero(histogram).astype(np.uint8)
     if levels.size < config.c:
         raise ValueError(f"image has {levels.size} distinct gray levels, fewer than c={config.c}")
-    result = fcm_cluster(levels, config, weights=counts)
+    result = fcm_cluster(levels, config, weights=histogram[levels])
     order = np.argsort(result.centroids[:, 0], kind="stable")
     result.centroids = result.centroids[order]
     result.memberships = result.memberships[:, order]
     result.levels = levels
-    labels = np.argmax(result.memberships, axis=1).astype(np.uint8)[inverse]
-    label_map = GrayImage(image.width, image.height, labels.reshape(image.height, image.width))
+    label_of_level = np.zeros(256, dtype=np.uint8)
+    label_of_level[levels] = np.argmax(result.memberships, axis=1)
+    label_map = GrayImage(image.width, image.height, label_of_level[image.data])
     return label_map, result
 
 

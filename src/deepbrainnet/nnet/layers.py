@@ -8,10 +8,10 @@ zero padding; output spatial size is floor((H + 2p - K) / s) + 1. They loop
 over the K x K kernel taps on flat phase planes of the padded input, a tap
 being one BLAS GEMM per image (see `_Conv`); what they return are NCHW views
 of those flat arrays, and every layer accepts any memory layout. Each layer
-caches what its backward pass needs, accumulates parameter gradients into its
-own buffers, and returns the gradient with respect to its input; a
-convolution that reads the network input (`input_grad = False`) returns None
-instead.
+caches what its backward pass needs (unless `_keep_caches` is off, as on the
+replicas that run inference), accumulates parameter gradients into its own
+buffers, and returns the gradient with respect to its input; a convolution
+that reads the network input (`input_grad = False`) returns None instead.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ class Layer:
     kind = "layer"
     params: Mapping[str, np.ndarray] = MappingProxyType({})
     grads: Mapping[str, np.ndarray] = MappingProxyType({})
+    # whether forward keeps what backward reads; an inference replica turns it off
+    _keep_caches = True
 
     def forward(self, x):
         raise NotImplementedError
@@ -238,7 +240,8 @@ class _Conv(Layer):
         weight = np.ascontiguousarray(self._taps(self.w))
         out = _tap_sum(self._tap_output, weight, lambda i, j: _tap(planes, i, j, oh))
         out += self.b[:, None]
-        self._cache = (planes, h, w)
+        if self._keep_caches:
+            self._cache = (planes, h, w)
         return out.reshape(n, self.c_out, oh, ow + reach)[..., :ow]
 
     def backward(self, grad):
@@ -307,7 +310,8 @@ class ReLU(Layer):
     def forward(self, x):
         if self._margins is not None and x.size:
             self._margins.append(float(np.abs(x).min()))
-        self._mask = x > 0
+        if self._keep_caches:
+            self._mask = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, grad):
@@ -342,7 +346,8 @@ class Dense(Layer):
         x = np.asarray(x, dtype=self.w.dtype)
         if x.shape[1] != self.features_in:
             raise ValueError(f"expected {self.features_in} features, got {x.shape[1]}")
-        self._cache = x
+        if self._keep_caches:
+            self._cache = x
         return x @ self.w.T + self.b
 
     def backward(self, grad):

@@ -29,17 +29,20 @@ from .layers import (
     as_tensor4,
 )
 
-# Input bytes that inference sends through the branches, and a training step
-# through the whole network, at once: sized so that a chunk's conv planes, tap
-# products and outputs stay in a core's L2 cache. That is one image at 224 px
-# in either dtype, 6 float32 images at 112 px, and 85 float32 or 42 float64
-# images at 32 px, so a batch of 32 is one chunk there.
+# Input bytes, in the network's dtype, that inference sends through the
+# branches, and a training step through the whole network, at once: sized so
+# that a chunk's conv planes, tap products and outputs stay in a core's L2
+# cache. That is one image at 224 px in either dtype, 6 float32 images at
+# 112 px, and 85 float32 or 42 float64 images at 32 px, so a batch of 32 is one
+# chunk there.
 _CHUNK_BYTES = 1 << 20
 
 
-def _chunk_starts(x: np.ndarray) -> tuple[int, range]:
-    """Images per chunk of x, and the chunks' first rows; an empty x has one chunk."""
-    chunk = max(1, _CHUNK_BYTES // (x.itemsize * math.prod(x.shape[1:])))
+def _chunk_starts(x: np.ndarray, dtype) -> tuple[int, range]:
+    """Images per chunk of x computed in `dtype` (not x's own: a uint8 input is
+    sized as the floats it becomes), and the chunks' first rows; an empty x has
+    one chunk."""
+    chunk = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * math.prod(x.shape[1:])))
     return chunk, range(0, max(x.shape[0], 1), chunk)
 
 
@@ -49,6 +52,11 @@ class Network(Layer):
     Its children are the named layers, so `named_parameters()` yields names
     such as `branch_a.2.conv1.weight` and `head.dense.bias`. Branch A's pooled
     features are the first `base_channels` of the fused ones.
+
+    Inputs are (N, 3, H, W) tensors. A uint8 tensor holds pixel values: each
+    chunk becomes `np.divide(chunk, 255.0, dtype=self.dtype)` where it runs,
+    so no float copy of the whole input is ever made. Any other dtype is taken
+    as it is and cast to `self.dtype`, also one chunk at a time.
     """
 
     kind = "network"
@@ -132,12 +140,25 @@ class Network(Layer):
     # -- forward / backward -------------------------------------------------
 
     def _checked(self, x) -> np.ndarray:
-        x = as_tensor4(x, self.dtype)
+        """x as a 4-D array of the input size, in its own dtype (see `_input`)."""
+        x = as_tensor4(x)
         if x.shape[2] != self.input_size or x.shape[3] != self.input_size:
             raise ValueError(
                 f"expected {self.input_size}x{self.input_size} inputs, got {x.shape[2]}x{x.shape[3]}"
             )
         return x
+
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """A checked chunk in `self.dtype`: uint8 pixel values divided by 255, any
+        other dtype cast. A chunk whose channels view one plane (channel stride 0)
+        converts that plane once and stays a one-plane view."""
+        one_plane = x.strides[1] == 0
+        source = x[:, :1] if one_plane else x
+        if source.dtype == np.uint8:
+            source = np.divide(source, 255.0, dtype=self.dtype)
+        else:
+            source = source.astype(self.dtype, copy=False)
+        return np.broadcast_to(source, x.shape) if one_plane else source
 
     def _fused(self, x: np.ndarray) -> np.ndarray:
         """Both branches' pooled features of x, concatenated."""
@@ -151,7 +172,8 @@ class Network(Layer):
 
     def forward_logits(self, x, uniforms: np.ndarray | None = None) -> np.ndarray:
         """Logits of x in one pass; dropout is on with `uniforms`, one per fused feature."""
-        return self.dense.forward(self.dropout.forward(self._fused(self._checked(x)), uniforms))
+        fused = self._fused(self._input(self._checked(x)))
+        return self.dense.forward(self.dropout.forward(fused, uniforms))
 
     def _instrumented(self) -> bool:
         """Whether a layer's forward or backward is an instance attribute: a timing or
@@ -159,38 +181,46 @@ class Network(Layer):
         return any("forward" in vars(layer) or "backward" in vars(layer)
                    for layer in self.iter_layers())
 
-    def _replica(self) -> Network:
+    def _replica(self, keep_caches: bool = True) -> Network:
         """A copy that shares every parameter array and owns its gradients and caches.
 
         The caches a serial pass left on this network's layers are not copied:
-        every chunk fills its replica's own before reading them.
+        every chunk fills its replica's own before reading them. Without
+        `keep_caches` the replica's layers keep nothing for a backward pass,
+        which only inference may then run on it.
         """
         memo = {id(p): p for p in self.parameters()}
         for layer in self.iter_layers():
             for cache in (getattr(layer, "_cache", None), getattr(layer, "_mask", None)):
                 if cache is not None:
                     memo[id(cache)] = None
-        return copy.deepcopy(self, memo)
+        replica = copy.deepcopy(self, memo)
+        if not keep_caches:
+            for layer in replica.iter_layers():
+                layer._keep_caches = False
+        return replica
 
-    def _map_chunks(self, run, starts: range) -> list:
+    def _map_chunks(self, run, starts: range, keep_caches: bool = True) -> list:
         """[run(network, i) for i in starts], the chunks spread over worker threads.
 
         Each worker of `parallel.map_on_workers` runs its chunks on its own
-        replica. With one worker, or wrappers on the layers (which a replica
-        would share with this network across threads), the chunks run on this
-        network in the calling thread.
+        replica, made with `keep_caches`. With one worker, or wrappers on the
+        layers (which a replica would share with this network across threads),
+        the chunks run on this network in the calling thread.
         """
         if min(parallel.available_cpus(), len(starts)) < 2 or self._instrumented():
             return [run(self, i) for i in starts]
-        return parallel.map_on_workers(run, starts, self._replica)
+        return parallel.map_on_workers(run, starts, lambda: self._replica(keep_caches))
 
     def inference_logits(self, x) -> np.ndarray:
         """Logits with dropout disabled, the branches run over cache-sized chunks.
 
-        Each chunk holds about `_CHUNK_BYTES` of input (one image at 224 px),
-        so a conv's padded input, taps and output stay in L2 instead of
-        spanning the whole set; the chunks run on one worker per available
-        CPU (`_map_chunks`). The branches treat every image alone, so their
+        Each chunk holds about `_CHUNK_BYTES` of input in the network's dtype
+        (one image at 224 px), so a conv's padded input, taps and output stay
+        in L2 instead of spanning the whole set; the chunks run on one worker
+        per available CPU (`_map_chunks`), on replicas that keep no backward
+        caches, and each becomes floats there (`_input`), so no per-image
+        array outlives its chunk. The branches treat every image alone, so their
         features do not depend on the chunk size or on the worker that ran
         them; the head runs once over all of them, because a one-row chunk
         would take the BLAS matrix-vector path in `Dense` and round
@@ -198,8 +228,9 @@ class Network(Layer):
         """
         x = self._checked(x)
         # an empty set still makes one (empty) pass, so its logits are (0, K)
-        chunk, starts = _chunk_starts(x)
-        fused = self._map_chunks(lambda net, i: net._fused(x[i : i + chunk]), starts)
+        chunk, starts = _chunk_starts(x, self.dtype)
+        fused = self._map_chunks(lambda net, i: net._fused(net._input(x[i : i + chunk])), starts,
+                                 keep_caches=False)
         return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
 
     def train_step(self, x, labels, rng: Prng) -> tuple[float, np.ndarray | None]:
@@ -226,7 +257,7 @@ class Network(Layer):
         """
         x = self._checked(x)
         n = x.shape[0]
-        chunk, starts = _chunk_starts(x)
+        chunk, starts = _chunk_starts(x, self.dtype)
         # one draw per batch, in row order: the workers never share the stream
         uniforms = rng.uniforms((n, self.dense.features_in)) if self.dropout.rate else None
 

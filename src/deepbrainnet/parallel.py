@@ -35,8 +35,10 @@ def map_on_workers(run, items, make_worker=lambda: None, item_pixels: int | None
     One thread per available CPU, at most one per item, each with its own
     `make_worker()`, takes the next item in turn and runs it under the
     caller's numpy error state (which is per thread). The results come back in
-    item order; so does the first exception, which the caller gets unchanged
-    once every item has run. With one worker, or items of one image each whose
+    item order. Once an item has raised, no worker takes a new one; the items
+    are handed out in order, so every item before it has run, and the caller
+    gets the first exception in item order unchanged once the running items
+    end. With one worker, or items of one image each whose
     `item_pixels` are under `_MIN_THREADED_PIXELS`, the items run in the
     calling thread, and the first exception stops them. Every worker has
     ended on return.
@@ -49,25 +51,29 @@ def map_on_workers(run, items, make_worker=lambda: None, item_pixels: int | None
     todo = iter(range(len(items)))
     lock = threading.Lock()
     errors = np.geterr()
+    failed = False
 
     def work(worker) -> None:
+        nonlocal failed
         with np.errstate(**errors):
             while True:
                 with lock:
-                    k = next(todo, None)
+                    k = None if failed else next(todo, None)
                 if k is None:
                     return
                 try:
                     outcomes[k] = (run(worker, items[k]), None)
                 except BaseException as error:  # raised again below, in item order
                     outcomes[k] = (None, error)
+                    with lock:
+                        failed = True
 
     threads = [threading.Thread(target=work, args=(make_worker(),)) for _ in range(workers)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    for _, error in outcomes:
+    for _, error in outcomes:  # an item left unrun (None) follows the one that raised
         if error is not None:
             raise error
     return [result for result, _ in outcomes]

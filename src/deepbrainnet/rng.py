@@ -19,8 +19,9 @@ precomputed once). Up to 1024 lanes start one block of 2**k states apart in the
 stream and step together in numpy; reading the lanes one after the other gives
 the stream in order. The lane starts double: lanes [m, 2m) are lanes [0, m)
 jumped by one power, so each lane costs one matrix apply (the jump-ahead of
-Haramoto et al., INFORMS J. Computing 2008). `normals` stays a scalar loop, because numpy's log and cos
-are not guaranteed to round like `math.log` and `math.cos`.
+Haramoto et al., INFORMS J. Computing 2008). `normals` takes its uniforms in
+one such draw but keeps Box-Muller per element in `math.log` and `math.cos`,
+because numpy's log and cos are not guaranteed to round like them.
 """
 
 from __future__ import annotations
@@ -133,16 +134,14 @@ class Prng:
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One Gaussian draw via Box-Muller; consumes two uniforms, no caching."""
-        u1 = 1.0 - self.uniform()  # (0, 1], keeps log() finite
-        u2 = self.uniform()
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return _box_muller(self.uniform(), self.uniform(), mu, sigma)
 
     def normals(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        size = int(np.prod(shape))
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = self.normal(mu, sigma)
-        return out.reshape(shape)
+        """Gaussian draws equal to as many `normal()` calls in row-major order,
+        leaving the same state, from one draw of their uniforms."""
+        pairs = self.uniforms((int(np.prod(shape)), 2)).tolist()
+        return np.array([_box_muller(u1, u2, mu, sigma) for u1, u2 in pairs],
+                        dtype=np.float64).reshape(shape)
 
     def uniforms(self, shape) -> np.ndarray:
         """Floats in [0, 1), equal to as many `uniform()` calls in row-major order."""
@@ -198,6 +197,11 @@ class Prng:
         states = block.T.ravel()[:count]
         self._state = int(states[-1])
         return states
+
+
+def _box_muller(u1: float, u2: float, mu: float, sigma: float) -> float:
+    """A Gaussian from two uniforms in [0, 1); 1 - u1 is in (0, 1], which keeps log() finite."""
+    return mu + sigma * math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def _step_powers() -> list[np.ndarray]:

@@ -14,7 +14,7 @@ import pytest
 from deepbrainnet import cli, parallel
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
-from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, save_checkpoint
+from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, predict, save_checkpoint
 from deepbrainnet.rng import Prng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -835,17 +835,51 @@ def test_evaluate_on_224_px_overflowing_weights_on_workers_is_numeric_failure(
                     r"float32: 4 of 4 validation score rows are not finite", err), err
 
 
-def test_to_tensor_is_a_read_only_view_of_one_normalized_plane():
-    """The three channels are one float32 plane, equal to the copied tensor it replaced."""
-    planes = Prng(7).belows(np.full((3, 5, 6), 256)).astype(np.uint8)
+def _float_view(planes):
+    """The (N, 3, H, W) float32 one-plane view `_to_tensor` returned before the
+    network took uint8 pixel values."""
+    gray = np.divide(planes, 255.0, dtype=np.float32)
+    return np.broadcast_to(gray[:, None], (gray.shape[0], 3, *gray.shape[1:]))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_the_uint8_tensor_predicts_and_trains_as_the_float_view_it_replaced(monkeypatch, workers):
+    """`_to_tensor` is a read-only uint8 view of one plane. The network divides each
+    chunk by 255 where it runs, so `predict` and `train_step` give the float32 view's
+    probabilities, loss and gradients bit for bit, on one worker and on four."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: workers)
+    n = 5
+    planes = Prng(7).belows(np.full((n, 224, 224), 256)).astype(np.uint8)
     tensor = cli._to_tensor(planes)
-    copied = np.empty((3, 3, 5, 6), dtype=np.float32)  # the copy each channel used to be
-    np.divide(planes, 255.0, out=copied[:, 0], dtype=np.float32)
-    copied[:, 1:] = copied[:, :1]
-    assert tensor.dtype == np.float32 and tensor.shape == copied.shape
-    assert np.array_equal(tensor, copied)
+    assert tensor.dtype == np.uint8 and tensor.shape == (n, 3, 224, 224)
     assert not tensor.flags.writeable
-    assert tensor.strides[1] == 0 and np.shares_memory(tensor[:, 0], tensor[:, 2])
+    assert tensor.strides[1] == 0 and np.shares_memory(tensor, planes)
+    reference = _float_view(planes)
+    net = build_deepbrainnet_mini(224, 4, seed=9, dtype=np.float32)
+    assert np.array_equal(predict(net, tensor), predict(net, reference))
+    labels = np.arange(n) % 4
+    outcomes = []
+    for x in (tensor, reference):
+        loss, probs = net.train_step(x, labels, Prng(10))
+        outcomes.append([loss, probs, *(g.copy() for g in net.gradients())])
+    for k, (a, b) in enumerate(zip(*outcomes, strict=True)):
+        assert np.array_equal(a, b), k
+
+
+def test_evaluate_on_a_preprocessed_image_of_another_size_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
+                       output_dir=tmp_path / "out", epochs=1)
+    for command in ("synth", "preprocess", "train"):
+        assert run(command, "--config", cfg) == 0, command
+    config = parse_config(cfg)
+    _, val_manifest, _ = cli._split(config, cli._preprocessed_manifest(config))
+    path = val_manifest.full_path(val_manifest.entries[-1][0])
+    save_pgm(GrayImage(31, 32, np.zeros((32, 31), dtype=np.uint8)), path)
+    capsys.readouterr()
+    assert run("evaluate", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"data error: preprocessed image {path!r} is 31x32, not 32x32"), err
 
 
 def test_diverging_training_is_numeric_failure(tmp_path):

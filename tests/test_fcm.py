@@ -452,6 +452,39 @@ def test_segment_preserves_dims():
     assert (labels.width, labels.height) == (9, 5)
 
 
+def unique_form_segment(image, config):
+    """`fcm_segment` as it was before its histogram: levels, pixel index and counts
+    from `np.unique`, and each pixel's label gathered through that index."""
+    levels, inverse, counts = np.unique(image.data.ravel(), return_inverse=True, return_counts=True)
+    result = fcm_cluster(levels, config, weights=counts)
+    order = np.argsort(result.centroids[:, 0], kind="stable")
+    result.centroids = result.centroids[order]
+    result.memberships = result.memberships[:, order]
+    result.levels = levels
+    labels = np.argmax(result.memberships, axis=1).astype(np.uint8)[inverse]
+    return GrayImage(image.width, image.height, labels.reshape(image.height, image.width)), result
+
+
+@pytest.mark.parametrize("width,height", [(32, 29), (224, 200)])
+@pytest.mark.parametrize("levels,c", [(1, 1), (2, 2), (256, 3)])
+def test_histogram_segment_equals_the_unique_form(width, height, levels, c):
+    rng = Prng(width * levels + c)
+    data = (rng.belows(np.full(width * height, levels)) * (255 // max(levels - 1, 1))).astype(np.uint8)
+    if levels == 256:
+        data[:256] = np.arange(256)  # every level present
+    image = GrayImage(width, height, data.reshape(height, width))
+    config = FcmConfig(c=c, seed=5)
+    labels, result = fcm_segment(image, config)
+    ref_labels, ref = unique_form_segment(image, config)
+    assert np.unique(image.data).size == levels
+    assert labels.data.dtype == ref_labels.data.dtype and np.array_equal(labels.data, ref_labels.data)
+    assert result.levels.dtype == ref.levels.dtype and np.array_equal(result.levels, ref.levels)
+    for name in ("memberships", "centroids"):
+        assert np.array_equal(getattr(result, name), getattr(ref, name)), name
+    assert (result.iterations_run, result.final_shift, result.converged) == (
+        ref.iterations_run, ref.final_shift, ref.converged)
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_predict_of_an_empty_batch_is_an_empty_matrix():
     assert predict(net, np.zeros((0, 3, 16, 16))).shape == (0, 4)
 
 
-CHUNK_224 = network_module._chunk_starts(np.empty((0, 3, 224, 224)))[0]  # images per branch pass
+CHUNK_224 = network_module._chunk_starts(np.empty((0, 3, 224, 224)), np.float64)[0]  # images per branch pass
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -113,9 +113,9 @@ def test_a_chunk_is_one_image_at_224_px_and_a_whole_batch_of_32_at_32_px(dtype):
     """The L2-sized chunk plan. At 32 px a batch of 32 stays one pass, which keeps
     32 px training (the desk workload, the pinned 32 px weights) bit-identical to
     whole-batch steps."""
-    chunk, starts = network_module._chunk_starts(np.empty((3, 3, 224, 224), dtype))
+    chunk, starts = network_module._chunk_starts(np.empty((3, 3, 224, 224)), dtype)
     assert (chunk, list(starts)) == (1, [0, 1, 2])
-    chunk, starts = network_module._chunk_starts(np.empty((32, 3, 32, 32), dtype))
+    chunk, starts = network_module._chunk_starts(np.empty((32, 3, 32, 32)), dtype)
     assert chunk >= 32 and list(starts) == [0]
 
 
@@ -186,6 +186,61 @@ def test_chunked_predict_holds_under_half_the_memory_of_a_whole_forward(monkeypa
         assert chunked < whole / 2, (workers, chunked, whole)
 
 
+def _uint8_view(seed, n, size):
+    """(n, 3, size, size) uint8 pixel values whose channels view one plane, as the CLI feeds them."""
+    planes = Prng(seed).belows(np.full((n, size, size), 256)).astype(np.uint8)
+    return np.broadcast_to(planes[:, None], (n, 3, size, size))
+
+
+def test_a_uint8_batch_is_chunked_as_the_floats_it_becomes():
+    """Chunks are sized by the network's dtype, not the input's: a uint8 batch at
+    224 px still runs one image per chunk, and one of 32 at 32 px one chunk."""
+    for size, n, expected in ((224, 3, [1, 1, 1]), (32, 32, [32])):
+        net = build_deepbrainnet_mini(size, 4, seed=39, dtype=np.float32)
+        x = _uint8_view(40, n, size)
+        sizes = _record_stem_batches(net)
+        predict(net, x)
+        net.train_step(x, np.arange(n) % 4, Prng(41))
+        assert sizes == expected + expected, (size, sizes)
+
+
+def test_uint8_predict_holds_nothing_per_image_beyond_its_chunk(monkeypatch):
+    """Each chunk becomes floats where it runs and leaves only its pooled features,
+    so the traced peak of 24 images at 224 px is within 64 KiB of that of 4."""
+    pin_workers(monkeypatch, 1)
+    net = build_deepbrainnet_mini(224, 4, seed=42, dtype=np.float32)
+    few, many = _uint8_view(43, 4, 224), _uint8_view(44, 24, 224)
+    for x in (few, many):  # the first passes allocate the layers' caches
+        predict(net, x)
+    peaks = [_peak_bytes(lambda x=x: predict(net, x)) for x in (few, many)]
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
+def test_an_inference_replica_keeps_no_backward_caches(monkeypatch):
+    """The replicas that `predict` runs its chunks on hold no conv planes, ReLU masks
+    or Dense inputs after their chunks; training replicas keep theirs."""
+    pin_workers(monkeypatch, 2)
+    replicas = []
+    make = network_module.Network._replica
+
+    def recording(self, *args, **kwargs):
+        replicas.append(make(self, *args, **kwargs))
+        return replicas[-1]
+
+    monkeypatch.setattr(network_module.Network, "_replica", recording)
+    net = build_deepbrainnet_mini(224, 4, seed=45, dtype=np.float32)
+    x = _uint8_view(46, 4, 224)
+    predict(net, x)
+    assert len(replicas) == 2
+    for replica in replicas:
+        for layer in replica.iter_layers():
+            assert getattr(layer, "_cache", None) is None and getattr(layer, "_mask", None) is None
+    replicas.clear()
+    net.train_step(x, np.arange(4) % 4, Prng(47))
+    assert len(replicas) == 2
+    assert all(replica.branch_a[0]._cache is not None for replica in replicas)
+
+
 def _whole_batch_step(net, x, labels, rng):
     """One training step without micro-batches: the reference for `train_step`."""
     net.zero_grads()
@@ -225,7 +280,7 @@ def test_a_one_chunk_train_step_is_forward_logits_on_the_batch_uniforms():
     net = build_deepbrainnet_mini(32, 4, seed=96)
     x = Prng(97).uniforms((6, 3, 32, 32))
     labels = np.arange(6) % 4
-    assert len(network_module._chunk_starts(x)[1]) == 1
+    assert len(network_module._chunk_starts(x, net.dtype)[1]) == 1
     whole_loss, whole_probs = _whole_batch_step(net, x, labels, Prng(98))
     whole_grads = [g.copy() for g in net.gradients()]
     loss, probs = net.train_step(x, labels, Prng(98))
@@ -257,7 +312,7 @@ def _outcomes(net, x, labels, seed):
 def _one_pass_gradients(net, x, labels, seed):
     """Gradients of one pass over the chunks in turn, each chunk's backward adding into
     the layers' buffers and dropout drawing per chunk: the reference summation order."""
-    chunk, starts = network_module._chunk_starts(x)
+    chunk, starts = network_module._chunk_starts(x, net.dtype)
     rng = Prng(seed)
     net.zero_grads()
     for i in starts:
@@ -350,7 +405,7 @@ def test_train_step_draws_the_batch_dropout_uniforms_once(monkeypatch):
     rng = Prng(89)
     net.train_step(Prng(90).uniforms((n, 3, 224, 224)), np.arange(n) % 4, rng)
     reference = Prng(89)
-    chunk = network_module._chunk_starts(np.empty((n, 3, 224, 224), np.float32))[0]
+    chunk = network_module._chunk_starts(np.empty((n, 3, 224, 224)), np.float32)[0]
     assert len(masks) == -(-n // chunk)
     rate = net.dropout.rate
     for mask in masks:  # the draw the parent made per chunk

@@ -86,6 +86,25 @@ def test_an_uncaught_error_is_the_first_failing_item_s(four_workers):
     assert info.value.args == (5,)
 
 
+def test_no_worker_takes_a_new_item_after_one_has_raised(monkeypatch):
+    """Item 3 raises at once while the others take 1 ms: the items before it have all
+    run, its error is raised, and the items after it are not handed out."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    ran = []
+
+    def run(_, item):
+        ran.append(item)
+        if item == 3:
+            raise KeyError(item)
+        time.sleep(0.001)
+        return item
+
+    with pytest.raises(KeyError) as info:
+        parallel.map_on_workers(run, list(range(100)))
+    assert info.value.args == (3,)
+    assert set(range(3)) <= set(ran) and len(ran) < 10, sorted(ran)
+
+
 def test_workers_take_the_caller_s_numpy_error_state(four_workers):
     def run(_, __):
         return np.float32(3e38) * np.float32(10)

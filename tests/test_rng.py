@@ -103,6 +103,23 @@ def test_uniforms_equal_scalar_stream(count):
     assert block.next_u64() == scalar.next_u64()
 
 
+@pytest.mark.parametrize("shape", [(0,), (1,), (8, 3, 3, 3), (2867,)])
+def test_normals_equal_the_scalar_loop(shape):
+    """One uniforms draw with per-element Box-Muller gives the values, and leaves the
+    state, of the scalar loop it replaced: two `uniform()` calls per element."""
+    mu, sigma = 0.5, np.sqrt(2.0 / 27)  # sigma as `_kaiming` passes it
+    block, scalar = Prng(17), Prng(17)
+    got = block.normals(shape, mu, sigma)
+    reference = np.empty(int(np.prod(shape)))
+    for i in range(reference.size):
+        u1 = 1.0 - scalar.uniform()
+        u2 = scalar.uniform()
+        reference[i] = mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got, reference.reshape(shape))
+    assert block._state == scalar._state
+
+
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
 def test_belows_equal_scalar_stream(count):
     bounds = [1 + (7 * i) % 300 for i in range(count)]
