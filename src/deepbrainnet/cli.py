@@ -401,6 +401,9 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
 def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     checkpoint_path = os.path.join(_train_dir(config), "checkpoint.bin")
     network = load_checkpoint(checkpoint_path)
+    if network.input_size != config.image_size:
+        raise DatasetError(f"checkpoint {checkpoint_path!r} has input_size {network.input_size}, "
+                           f"but image_size is {config.image_size}")
     manifest = _preprocessed_manifest(config)
     if network.n_classes != len(manifest.class_names):
         raise DatasetError(

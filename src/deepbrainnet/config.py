@@ -65,7 +65,6 @@ class RunConfig:
     lr_reduce_factor: float = 0.5
     lr_reduce_patience: int = 3
     dropout_rate: float = 0.3
-    freeze_branches_epochs: int = 0
     base_channels: int = 8
     # split + reproducibility
     train_fraction: float = 0.8

@@ -104,7 +104,7 @@ def load_checkpoint(path) -> Network:
         "<IIIIfI", blob, take(struct.calcsize("<IIIIfI"), "header")
     )
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version} in {path!r}")
 
     shapes = []
     for _ in range(n_arrays):
@@ -121,19 +121,22 @@ def load_checkpoint(path) -> Network:
         )
     pos = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")  # rewound: arrays claim it below
 
-    network = build_deepbrainnet_mini(
-        input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels,
-        dtype=np.float32,
-    )
+    try:
+        network = build_deepbrainnet_mini(
+            input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels,
+            dtype=np.float32,
+        )
+    except ValueError as exc:  # a header value the network cannot take
+        raise CheckpointError(f"bad header in {path!r}: {exc}") from exc
     records = _param_records(network)
     if len(records) != n_arrays:
         raise CheckpointError(
-            f"checkpoint lists {n_arrays} parameter arrays, network has {len(records)}"
+            f"checkpoint {path!r} lists {n_arrays} parameter arrays, network has {len(records)}"
         )
     for (name, kind, pname, param), (kind_code, dims) in zip(records, shapes):
         if _KIND_CODES[kind] != kind_code or tuple(param.shape) != dims:
             raise CheckpointError(
-                f"layer table mismatch at {name}.{pname}: "
+                f"layer table mismatch in {path!r} at {name}.{pname}: "
                 f"expected {kind}{tuple(param.shape)}, found code {kind_code} dims {dims}"
             )
         count = math.prod(dims)

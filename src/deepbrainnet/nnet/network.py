@@ -184,7 +184,7 @@ class Network(Layer):
     def _replica(self, keep_caches: bool = True) -> Network:
         """A copy that shares every parameter array and owns its gradients and caches.
 
-        The caches a serial pass left on this network's layers are not copied:
+        The caches a pass on this network itself left on its layers are not copied:
         every chunk fills its replica's own before reading them. Without
         `keep_caches` the replica's layers keep nothing for a backward pass,
         which only inference may then run on it.
@@ -203,12 +203,12 @@ class Network(Layer):
     def _map_chunks(self, run, starts: range, keep_caches: bool = True) -> list:
         """[run(network, i) for i in starts], the chunks spread over worker threads.
 
-        Each worker of `parallel.map_on_workers` runs its chunks on its own
-        replica, made with `keep_caches`. With one worker, or wrappers on the
-        layers (which a replica would share with this network across threads),
-        the chunks run on this network in the calling thread.
+        Each worker of `parallel.map_on_workers` (one worker runs in the calling
+        thread) runs its chunks on its own replica, made with `keep_caches`.
+        Only wrappers on the layers, which a replica would share with this
+        network across threads, make the chunks run on this network.
         """
-        if min(parallel.available_cpus(), len(starts)) < 2 or self._instrumented():
+        if self._instrumented():
             return [run(self, i) for i in starts]
         return parallel.map_on_workers(run, starts, lambda: self._replica(keep_caches))
 
@@ -231,7 +231,9 @@ class Network(Layer):
         chunk, starts = _chunk_starts(x, self.dtype)
         fused = self._map_chunks(lambda net, i: net._fused(net._input(x[i : i + chunk])), starts,
                                  keep_caches=False)
-        return self.dense.forward(self.dropout.forward(np.concatenate(fused)))
+        logits = self.dense.forward(self.dropout.forward(np.concatenate(fused)))
+        self.dense._cache = None  # no backward follows inference
+        return logits
 
     def train_step(self, x, labels, rng: Prng) -> tuple[float, np.ndarray | None]:
         """Gradients of the mean loss over x, dropout on, summed over micro-batches.

@@ -34,15 +34,12 @@ class TrainConfig:
     early_stop_patience: int = 5
     lr_reduce_factor: float = 0.5
     lr_reduce_patience: int = 3
-    freeze_branches_epochs: int = 0
     seed: int = 0
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "early_stop_patience", "lr_reduce_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.freeze_branches_epochs < 0:
-            raise ValueError("freeze_branches_epochs must be >= 0")
         if not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be >= 0")
         for name in ("beta1", "beta2"):
@@ -77,24 +74,23 @@ class TrainingHistory:
 
 
 class Adam:
-    """Per-parameter first/second moment state with bias correction."""
+    """Per-parameter first/second moment state with bias correction; every
+    array steps on every call, so one step count `t` serves them all."""
 
     def __init__(self, params: list[np.ndarray], beta1: float, beta2: float, epsilon: float):
         self.params = params
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.t = [0] * len(params)
+        self.t = 0
 
-    def step(self, grads: list[np.ndarray], lr: float, active: set[int] | None = None) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
+        self.t += 1
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            if active is not None and i not in active:
-                continue
-            self.t[i] += 1
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t[i])
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t[i])
+            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
+            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
             p -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
@@ -117,11 +113,9 @@ def train(
     training tensor of one minibatch in place of `train_x[batch_indices]`:
     the samples at those indices, in that order, augmented for that epoch (or
     not; the CLI also builds its unaugmented batches this way). Validation
-    data are never augmented.
-    During the first `freeze_branches_epochs` epochs only the head is
-    updated, mimicking fine-tuning on frozen pretrained branches. Each
-    batch takes one Adam step on gradients that `Network.train_step` sums
-    over cache-sized micro-batches, which run on one worker per CPU.
+    data are never augmented. Each batch takes one Adam step, of every
+    parameter, on gradients that `Network.train_step` sums over cache-sized
+    micro-batches, which run on one worker per CPU.
     """
     train_x, train_y = train_set
     val_x, val_y = val_set
@@ -137,9 +131,6 @@ def train(
 
     rng = Prng(config.seed)
     optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
-    head_indices = {
-        i for i, (name, _, _) in enumerate(network.named_parameters()) if name.startswith("head.")
-    }
 
     history = TrainingHistory()
     lr = config.learning_rate
@@ -152,7 +143,6 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = list(range(n))
         rng.shuffle(order)
-        active = head_indices if epoch <= config.freeze_branches_epochs else None
         epoch_loss = 0.0
         epoch_correct = 0
         for start in range(0, n, config.batch_size):
@@ -167,7 +157,7 @@ def train(
                 raise NonFiniteLossError(
                     f"non-finite training loss at epoch {epoch}, batch start {start}"
                 )
-            optimizer.step(network.gradients(), lr, active=active)
+            optimizer.step(network.gradients(), lr)
             epoch_loss += loss * len(batch)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
 

@@ -1,7 +1,9 @@
 import hashlib
+import math
 import os
 import re
 import shutil
+import struct
 import sys
 import warnings
 from collections import Counter
@@ -71,6 +73,15 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("no_such_key = 1\n")
     with pytest.raises(ConfigError, match="no_such_key"):
         parse_config(path)
+
+
+def test_the_removed_freeze_key_is_a_config_error(tmp_path, capsys):
+    """`freeze_branches_epochs` froze freshly seeded branches and is gone."""
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out", freeze_branches_epochs=0)
+    assert run("train", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:"), err
+    assert err.endswith(": unknown key 'freeze_branches_epochs'\n"), err
 
 
 def test_bad_value_rejected(tmp_path):
@@ -320,7 +331,6 @@ BAD_SETTINGS = [
     ("preprocess", "clahe_tiles", 64, "clahe_tiles"),
     ("train", "early_stop_patience", 0, "early_stop_patience"),
     ("train", "lr_reduce_patience", 0, "lr_reduce_patience"),
-    ("train", "freeze_branches_epochs", -1, "freeze_branches_epochs"),
     ("train", "augment_rotation", -5, "rotation_range"),
     ("train", "augment_zoom", -1, "zoom_range"),
     ("train", "augment_zoom", 1.5, "zoom_range"),
@@ -762,33 +772,73 @@ def test_a_mask_with_samples_other_than_0_and_255_is_data_error(tmp_path, capsys
     assert capsys.readouterr().err == f"data error: mask {str(mask)!r} holds samples other than 0 and 255\n"
 
 
-def evaluate_corrupt_checkpoint(tmp_path, capsys, corrupt) -> str:
-    """stderr of `evaluate` on a checkpoint whose bytes `corrupt` rewrote; asserts exit 2."""
+def _rewritten(change):
+    """Rewrite the checkpoint's bytes with change(blob)."""
+    return lambda path: path.write_bytes(change(path.read_bytes()))
+
+
+def evaluate_corrupt_checkpoint(tmp_path, capsys, spoil) -> str:
+    """stderr of `evaluate` on a 32 px checkpoint that `spoil(path)` damaged; asserts exit 2
+    and one line."""
     cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
     path = tmp_path / "out" / "train" / "checkpoint.bin"
     path.parent.mkdir(parents=True)
     save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0, base_channels=4), path)
-    path.write_bytes(corrupt(path.read_bytes()))
+    spoil(path)
     assert run("evaluate", "--config", cfg) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     return err
 
 
+def _header_value(offset, fmt, value):
+    """Write `value` into the checkpoint's fixed header at byte `offset`."""
+    size = struct.calcsize(fmt)
+    return _rewritten(lambda blob: blob[:offset] + struct.pack(fmt, value) + blob[offset + size:])
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# (case, how the saved 32 px checkpoint is spoiled, a fragment of the message)
+BAD_CHECKPOINTS = [
+    ("empty", _rewritten(lambda blob: b""), "bad magic"),
+    ("truncated", _rewritten(lambda blob: blob[:40]), "truncated checkpoint"),
+    ("bad magic", _rewritten(lambda blob: b"X" + blob[1:]), "bad magic"),
+    ("input_size 8", _header_value(12, "<I", 8), "input_size must be >= 16"),
+    ("dropout 1.5", _header_value(24, "<f", 1.5), "dropout rate must be in [0, 1), got 1.5"),
+    ("dropout nan", _header_value(24, "<f", math.nan), "dropout rate must be in [0, 1), got nan"),
+    # no weight depends on the input size, so these are the bytes of seed 0's 48 px checkpoint
+    ("48 px in a 32 px run", _header_value(12, "<I", 48), "input_size 48, but image_size is 32"),
+    ("directory", _directory, "Is a directory"),
+]
+
+
+@pytest.mark.parametrize("spoil,fragment", [case[1:] for case in BAD_CHECKPOINTS],
+                         ids=[case[0] for case in BAD_CHECKPOINTS])
+def test_evaluate_names_a_bad_checkpoint_in_one_data_error_line(tmp_path, capsys, spoil, fragment):
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, spoil)
+    assert err.startswith("data error: ") and "Traceback" not in err, err
+    assert str(tmp_path / "out" / "train" / "checkpoint.bin") in err and fragment in err, err
+
+
 def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
-    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:40])
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, _rewritten(lambda blob: blob[:40]))
     assert err.startswith("data error: truncated checkpoint")
 
 
 def test_evaluate_huge_class_count_is_data_error(tmp_path, capsys):
     patched = (2**30).to_bytes(4, "little")
-    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:16] + patched + blob[20:])
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys,
+                                      _rewritten(lambda blob: blob[:16] + patched + blob[20:]))
     assert err.startswith("data error: header of") and "disagrees with its shape table" in err
 
 
 def test_evaluate_nan_weight_checkpoint_is_data_error(tmp_path, capsys):
     nan = np.array([np.nan], dtype="<f4").tobytes()
-    err = evaluate_corrupt_checkpoint(tmp_path, capsys, lambda blob: blob[:-8] + nan + blob[-4:])
+    err = evaluate_corrupt_checkpoint(tmp_path, capsys, _rewritten(lambda blob: blob[:-8] + nan + blob[-4:]))
     assert err.startswith("data error: non-finite value in head.dense.bias of ")
 
 

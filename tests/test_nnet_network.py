@@ -241,6 +241,20 @@ def test_an_inference_replica_keeps_no_backward_caches(monkeypatch):
     assert all(replica.branch_a[0]._cache is not None for replica in replicas)
 
 
+@pytest.mark.parametrize("size", [32, 224])
+def test_one_worker_leaves_no_caches_on_the_network(monkeypatch, size):
+    """On one CPU the chunks also run on a replica, so neither `predict` (one chunk at
+    32 px, one per image at 224 px) nor `train_step` leaves conv planes or ReLU and
+    dropout masks on the network's own layers."""
+    pin_workers(monkeypatch, 1)
+    net = build_deepbrainnet_mini(size, 4, seed=48, dtype=np.float32)
+    x = _uint8_view(49, 2, size)
+    for run in (lambda: predict(net, x), lambda: net.train_step(x, np.arange(2) % 4, Prng(50))):
+        run()
+        for layer in net.iter_layers():
+            assert getattr(layer, "_cache", None) is None and getattr(layer, "_mask", None) is None
+
+
 def _whole_batch_step(net, x, labels, rng):
     """One training step without micro-batches: the reference for `train_step`."""
     net.zero_grads()
@@ -375,7 +389,8 @@ def test_many_workers_on_few_cores_still_run_each_chunk_once(monkeypatch):
 
 def test_a_replica_shares_the_parameters_and_owns_its_gradients_but_no_caches():
     net = build_deepbrainnet_mini(224, 4, seed=87, dtype=np.float32)
-    net.train_step(Prng(88).uniforms((1, 3, 224, 224)), np.array([1]), Prng(89))  # fills caches
+    uniforms = Prng(89).uniforms((1, net.dense.features_in))
+    net.forward_logits(Prng(88).uniforms((1, 3, 224, 224)), uniforms)  # fills caches
     replica = net._replica()
     assert all(a is b for a, b in zip(replica.parameters(), net.parameters(), strict=True))
     assert not any(a is b for a, b in zip(replica.gradients(), net.gradients(), strict=True))

@@ -113,16 +113,6 @@ def test_loss_windows_mostly_non_increasing():
     assert good >= 0.9 * len(windows)
 
 
-def test_freeze_epochs_keep_branches_fixed():
-    train_set, val_set = build_and_split()
-    net = build_deepbrainnet_mini(16, 3, seed=7, dropout_rate=0.0, base_channels=4)
-    before = {name: p.copy() for name, p, _ in net.named_parameters()}
-    train(net, train_set, val_set, small_config(epochs=2, freeze_branches_epochs=2,
-                                                early_stop_patience=10))
-    moved = {name for name, p, _ in net.named_parameters() if not np.array_equal(p, before[name])}
-    assert moved == {"head.dense.weight", "head.dense.bias"}
-
-
 def test_augment_fn_changes_history_under_same_seed():
     train_set, val_set = build_and_split()
     rng = Prng(77)
