@@ -125,59 +125,48 @@ def _images_sha256(manifest: DatasetManifest) -> str:
     return digest.hexdigest()
 
 
-def _recorded(config: RunConfig, command: str, key: str) -> str | None:
-    """The value of `key` in the command's run record; None without one.
+def _check_recorded(config: RunConfig, command: str, key: str, current, problem: str) -> None:
+    """Raise if the command's run record holds a `key` line whose value is not `current()`.
 
     With no record or no such line (a checkpoint written by `save_checkpoint`
     alone, an fcm record older than `images_sha256`) there is nothing to
-    compare, and the checks below pass.
+    compare, and the check passes.
     """
     path = os.path.join(config.output_dir, f"runrecord_{command}.txt")
     if not os.path.isfile(path):
-        return None
+        return
     try:
         with open(path, encoding="utf-8") as fh:
-            return next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
+            recorded = next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"cannot decode run record {path!r}: {exc}") from exc
-
-
-def _check_split(config: RunConfig, split_sha256: str) -> None:
-    """Raise if train's run record names another split than this config makes."""
-    if _recorded(config, "train", "split_sha256") not in (None, split_sha256):
-        raise DatasetError("the validation split differs from the one train used "
-                           "(seed or train_fraction changed since train); rerun train")
+    if recorded is not None and recorded != current():
+        raise DatasetError(f"{problem}; {path!r} records another {key}; rerun {command}")
 
 
 def _check_masks(config: RunConfig, manifest: DatasetManifest) -> None:
-    """Raise if masks are on and fcm's run record names other images than the
-    preprocessed ones: its masks were computed from an earlier preprocess run."""
-    recorded = _recorded(config, "fcm", "images_sha256") if config.fcm_mask_enabled else None
-    if recorded is not None and recorded != _images_sha256(manifest):
-        raise DatasetError("the preprocessed images differ from the ones fcm segmented "
-                           "(preprocess ran again since fcm); rerun fcm")
-
-
-def _mask_path(config: RunConfig, rel_path: str) -> str:
-    stem = rel_path[:-4] if rel_path.endswith(".pgm") else rel_path
-    return os.path.join(_fcm_dir(config), f"{stem}_mask.pgm")
-
-
-def _load_gray(config: RunConfig, manifest: DatasetManifest, rel_path: str) -> GrayImage:
-    image = load_pgm(manifest.full_path(rel_path))
+    """With masks on, raise if fcm segmented other images than the preprocessed ones:
+    its label maps were computed from an earlier preprocess run."""
     if config.fcm_mask_enabled:
-        mask_file = _mask_path(config, rel_path)
-        if not os.path.exists(mask_file):
-            raise DatasetError(
-                f"fcm_mask_enabled but no mask at {mask_file!r}; run the fcm command first"
-            )
-        mask = load_pgm(mask_file)
-        if (mask.width, mask.height) != (image.width, image.height):
-            raise DatasetError(f"mask dimensions mismatch for {rel_path!r}")
-        if not np.isin(mask.data, (0, 255)).all():  # another value would scale the image
-            raise DatasetError(f"mask {mask_file!r} holds samples other than 0 and 255")
-        image = GrayImage(image.width, image.height, image.data * (mask.data // 255))
-    return image
+        _check_recorded(config, "fcm", "images_sha256", lambda: _images_sha256(manifest),
+                        "the preprocessed images differ from the ones fcm segmented "
+                        "(preprocess ran again since fcm)")
+
+
+def _fcm_path(config: RunConfig, rel_path: str, suffix: str) -> str:
+    """`fcm/<stem>_<suffix>` of a manifest path, which ends in `.pgm`."""
+    return os.path.join(_fcm_dir(config), f"{rel_path[:-4]}_{suffix}")
+
+
+def _read_plane(path: str, size: int, what: str, remedy: str) -> np.ndarray:
+    """The (size, size) pixels of the PGM at `path`; errors name the file."""
+    try:
+        image = load_pgm(path)
+    except PgmError as exc:
+        raise DatasetError(f"cannot decode PGM {path!r}: {exc}") from None
+    if (image.width, image.height) != (size, size):
+        raise DatasetError(f"{what} {path!r} is {image.width}x{image.height}, not {size}x{size}; {remedy}")
+    return image.data
 
 
 def _to_tensor(planes: np.ndarray) -> np.ndarray:
@@ -197,11 +186,13 @@ def _load_tensors(config: RunConfig, manifest: DatasetManifest):
     size = config.image_size
     planes = np.empty((len(manifest), size, size), dtype=np.uint8)
     for k, (rel_path, _) in enumerate(manifest.entries):
-        image = _load_gray(config, manifest, rel_path)
-        if (image.width, image.height) != (size, size):
-            raise DatasetError(f"preprocessed image {manifest.full_path(rel_path)!r} is "
-                               f"{image.width}x{image.height}, not {size}x{size}; rerun preprocess")
-        planes[k] = image.data
+        planes[k] = _read_plane(manifest.full_path(rel_path), size, "preprocessed image", "rerun preprocess")
+        if config.fcm_mask_enabled:  # keep the pixels whose FCM label is not 0
+            labels_file = _fcm_path(config, rel_path, "labels.pgm")
+            if not os.path.exists(labels_file):
+                raise DatasetError(f"fcm_mask_enabled but no label map at {labels_file!r}; "
+                                   "run the fcm command first")
+            planes[k] *= _read_plane(labels_file, size, "label map", "rerun fcm") != 0
     labels = np.array([idx for _, idx in manifest.entries], dtype=np.int64)
     return planes, _to_tensor(planes), labels
 
@@ -321,27 +312,20 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
             label_map, result = fcm_segment(image, fcm_config)
         except ValueError as exc:
             raise DatasetError(f"fcm failed on {rel_path}: {exc}") from exc
-        stem = rel_path[:-4]
-        out_dir = os.path.join(out_root, os.path.dirname(rel_path))
-        os.makedirs(out_dir, exist_ok=True)
-        labels_path = os.path.join(out_root, f"{stem}_labels.pgm")
+        labels_path = _fcm_path(config, rel_path, "labels.pgm")
+        os.makedirs(os.path.dirname(labels_path), exist_ok=True)
         save_pgm(label_map, labels_path)
-        memberships_path = os.path.join(out_root, f"{stem}_U.csv")
-        centroids_path = os.path.join(out_root, f"{stem}_V.csv")
+        memberships_path = _fcm_path(config, rel_path, "U.csv")
         save_matrix_csv(np.column_stack([result.levels, result.memberships]), memberships_path)
-        save_matrix_csv(result.centroids, centroids_path)
-        artifacts.extend([labels_path, memberships_path, centroids_path])
-        if config.fcm_mask_enabled:
-            mask = (label_map.data != 0).astype(np.uint8) * 255  # label 0 is the darkest cluster
-            mask_path = _mask_path(config, rel_path)
-            save_pgm(GrayImage(label_map.width, label_map.height, mask), mask_path)
-            artifacts.append(mask_path)
-        summaries.append(f"{rel_path},{format_run_summary(result)}")
+        artifacts.extend([labels_path, memberships_path])
+        centroids = ",".join(f"{v:.17g}" for v in result.centroids[:, 0])
+        summaries.append(f"{rel_path},{format_run_summary(result)},{centroids}")
         iterations.append(result.iterations_run)
         converged += result.converged
         level_counts.append(result.levels.size)
+    header = "path,iterations,final_shift,converged" + "".join(f",v_{j}" for j in range(config.fcm_clusters))
     summary_path = os.path.join(out_root, "summaries.csv")
-    write_atomic(summary_path, "\n".join(["path,iterations,final_shift,converged", *summaries]) + "\n")
+    write_atomic(summary_path, "\n".join([header, *summaries]) + "\n")
     artifacts.append(summary_path)
     line = f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}"
     if iterations:  # a hand-written manifest may list no image
@@ -411,7 +395,8 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
             f"{len(manifest.class_names)}"
         )
     _, val_manifest, split_sha256 = _split(config, manifest)
-    _check_split(config, split_sha256)
+    _check_recorded(config, "train", "split_sha256", lambda: split_sha256, "the validation split differs "
+                    "from the one train used (seed or train_fraction changed since train)")
     _check_masks(config, manifest)
     _, val_x, val_y = _load_tensors(config, val_manifest)
 

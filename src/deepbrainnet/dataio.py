@@ -229,9 +229,9 @@ class DatasetManifest:
         k = len(self.class_names)
         if k < 2:
             raise DatasetError(f"need at least 2 classes, got {k}")
-        paths = [p for p, _ in self.entries]
+        paths = sorted(p for p, _ in self.entries)
         if len(set(paths)) != len(paths):
-            raise DatasetError("duplicate paths in manifest")
+            raise DatasetError(f"duplicate path {next(a for a, b in zip(paths, paths[1:]) if a == b)!r}")
         for path, idx in self.entries:
             if not 0 <= idx < k:
                 raise DatasetError(f"class index {idx} out of range for {path}")
@@ -343,15 +343,21 @@ def manifest_from_csv(path, root: str) -> DatasetManifest:
         rel = PurePath(rel_path)
         if rel.anchor or ".." in rel.parts:
             raise DatasetError(f"manifest {path!r} lists {rel_path!r}, which leaves its root")
+        if not rel_path.endswith(".pgm"):  # later stages name their outputs by the stem before it
+            raise DatasetError(f"manifest {path!r} line {number} lists {rel_path!r}, not a .pgm file")
         try:
             idx = int(idx_s)
         except ValueError:
             raise DatasetError(f"manifest {path!r} line {number} has the class index {idx_s!r}, "
                                "not an integer") from None
         entries.append((rel_path, idx))
-        names[idx] = name
+        if names.setdefault(idx, name) != name:
+            raise DatasetError(f"manifest {path!r} line {number} names class {idx} {name!r}, not {names[idx]!r}")
     class_names = tuple(names[i] for i in sorted(names))
-    return DatasetManifest(root, tuple(sorted(entries)), class_names)
+    try:
+        return DatasetManifest(root, tuple(sorted(entries)), class_names)
+    except DatasetError as exc:
+        raise DatasetError(f"manifest {path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -418,18 +418,22 @@ def test_fcm_masks_bilevel_image(tmp_path):
     out_root = tmp_path / "out" / "fcm"
     labels = load_pgm(out_root / "lit" / "lit_0_labels.pgm")
     source = load_pgm(tmp_path / "out" / "preprocessed" / "lit" / "lit_0.pgm")
-    centroids = np.loadtxt(out_root / "lit" / "lit_0_V.csv", delimiter=",", ndmin=2).ravel()
-    km = kmeans_partition(source.data.ravel().astype(float).tolist(), sorted(centroids))
+    header, *rows = (out_root / "summaries.csv").read_text().splitlines()
+    assert header.endswith(",v_0,v_1")
+    row = next(row.split(",") for row in rows if row.startswith("lit/lit_0.pgm,"))
+    centroids = [float(v) for v in row[4:]]
+    assert centroids == sorted(centroids)
+    km = kmeans_partition(source.data.ravel().astype(float).tolist(), centroids)
     mine = labels.data.ravel()
     # same partition up to label swap
     agreement = (mine == np.array(km)).mean()
     assert agreement in (0.0, 1.0)
 
-    mask = load_pgm(out_root / "lit" / "lit_0_mask.pgm")
-    assert set(np.unique(mask.data)) <= {0, 255}
-    # mask keeps exactly the bright population
+    # the mask train applies, labels != 0, keeps exactly the bright population
     bright = source.data == 200
-    assert np.array_equal(mask.data == 255, bright)
+    assert np.array_equal(labels.data != 0, bright)
+    assert sorted(p.name for p in (out_root / "lit").iterdir()) == [
+        "lit_0_U.csv", "lit_0_labels.pgm", "lit_1_U.csv", "lit_1_labels.pgm"]
 
 
 def test_fcm_uniform_mask_for_single_cluster(tmp_path):
@@ -455,10 +459,11 @@ def test_fcm_summary_has_one_line_per_image(workspace, capsys):
     capsys.readouterr()
     assert run("fcm", "--config", cfg) == 0
     lines = (tmp_path / "out" / "fcm" / "summaries.csv").read_text().strip().splitlines()
-    assert lines[0] == "path,iterations,final_shift,converged"
+    assert lines[0] == "path,iterations,final_shift,converged,v_0,v_1"
     assert len(lines) - 1 == 16
     # the stdout line reports the same convergence the summaries record
     rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == 6 and float(row[4]) <= float(row[5]) for row in rows)  # ascending centroids
     iterations = [int(row[1]) for row in rows]
     converged = sum(row[3] == "true" for row in rows)
     preprocessed = tmp_path / "out" / "preprocessed"
@@ -744,6 +749,55 @@ def test_a_malformed_manifest_row_is_data_error_naming_its_line(workspace, capsy
     assert "Traceback" not in err
 
 
+def hand_written_manifest(tmp_path, rows) -> tuple[str, Path]:
+    """A config and its preprocessed/manifest.csv, holding `rows` under the header."""
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    manifest = tmp_path / "out" / "preprocessed" / "manifest.csv"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_text("\n".join(["path,class_index,class_name", *rows]) + "\n", encoding="utf-8")
+    return cfg, manifest
+
+
+def test_a_manifest_path_without_the_pgm_suffix_is_data_error(tmp_path, capsys):
+    """fcm names its outputs by the path before `.pgm`: `a/img_0001` and `a/img_0002`
+    would both write `fcm/a/img__labels.pgm`."""
+    rows = ["a/img_0001,0,a", "a/img_0002,0,a", "b/img_0001,1,b", "b/img_0002,1,b"]
+    cfg, manifest = hand_written_manifest(tmp_path, rows)
+    for row in rows:  # the files exist, so only the names are at fault
+        image = manifest.parent / row.split(",")[0]
+        image.parent.mkdir(exist_ok=True)
+        save_pgm(GrayImage(16, 16, np.arange(256) % 7 * 30), image)
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    assert capsys.readouterr().err == (f"data error: manifest {str(manifest)!r} line 2 lists "
+                                       "'a/img_0001', not a .pgm file\n")
+    assert not (tmp_path / "out" / "fcm").exists()
+
+
+@pytest.mark.parametrize("rows,problem", [
+    (["a/img_0001.pgm,0,a", "a/img_0001.pgm,0,a", "b/img_0001.pgm,1,b"], "duplicate path 'a/img_0001.pgm'"),
+    (["a/img_0001.pgm,0,a", "b/img_0001.pgm,2,b"], "class index 2 out of range for b/img_0001.pgm"),
+    (["a/img_0001.pgm,0,a", "a/img_0002.pgm,0,a"], "need at least 2 classes, got 1"),
+], ids=["duplicate-path", "class-index-out-of-range", "one-class"])
+def test_a_manifest_the_dataset_rules_reject_is_data_error_naming_it(tmp_path, capsys, rows, problem):
+    cfg, manifest = hand_written_manifest(tmp_path, rows)
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    assert capsys.readouterr().err == f"data error: manifest {str(manifest)!r}: {problem}\n"
+    assert not (tmp_path / "out" / "fcm").exists()
+
+
+def test_a_manifest_that_names_one_class_twice_is_data_error(tmp_path, capsys):
+    """Rows of one class index must agree on its name: a row cut short inside its
+    class name would otherwise rename the class."""
+    cfg, manifest = hand_written_manifest(tmp_path, ["a/img_0001.pgm,0,a", "b/img_0001.pgm,1,b",
+                                                     "b/img_0002.pgm,1,bb"])
+    capsys.readouterr()
+    assert run("fcm", "--config", cfg) == 2
+    assert capsys.readouterr().err == (f"data error: manifest {str(manifest)!r} line 4 names class 1 "
+                                       "'bb', not 'b'\n")
+
+
 def test_non_utf8_run_record_is_data_error_naming_it(workspace, capsys):
     tmp_path, cfg = workspace
     preprocessed_manifest(tmp_path, cfg)
@@ -759,17 +813,69 @@ def test_non_utf8_run_record_is_data_error_naming_it(workspace, capsys):
     assert err.count("\n") == 1
 
 
-def test_a_mask_with_samples_other_than_0_and_255_is_data_error(tmp_path, capsys):
-    """A mask of maxval 1 whose samples are all 1 would zero its image."""
+def loaded_planes(monkeypatch) -> dict:
+    """{manifest path: the gray plane train or evaluate loads}, filled as they load."""
+    planes = {}
+    load = cli._load_tensors
+
+    def recording(config, manifest):
+        loaded = load(config, manifest)
+        planes.update(zip((rel_path for rel_path, _ in manifest.entries), loaded[0]))
+        return loaded
+
+    monkeypatch.setattr(cli, "_load_tensors", recording)
+    return planes
+
+
+def test_train_masks_with_the_label_maps_of_the_last_fcm_run(tmp_path, monkeypatch):
+    """fcm with masks on at c=2, then fcm with masks off at c=4: train with masks on
+    keeps labels != 0 of the c=4 run, not a foreground the c=2 run left behind."""
+    paths = dict(dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out", epochs=1)
+    masked = write_config(tmp_path / "c2.cfg", fcm_mask_enabled="true", fcm_clusters=2, **paths)
+    unmasked = write_config(tmp_path / "c4.cfg", fcm_mask_enabled="false", fcm_clusters=4, **paths)
+    for command in ("synth", "preprocess", "fcm"):
+        assert run(command, "--config", masked) == 0, command
+    fcm_root = tmp_path / "out" / "fcm"
+    first = {p: load_pgm(p).data != 0 for p in fcm_root.rglob("*_labels.pgm")}
+    assert run("fcm", "--config", unmasked) == 0
+    assert any(((load_pgm(p).data != 0) != kept).any() for p, kept in first.items())
+    planes = loaded_planes(monkeypatch)
+    assert run("train", "--config", masked) == 0
+    assert len(planes) == 16
+    for rel_path, plane in planes.items():
+        image = load_pgm(tmp_path / "out" / "preprocessed" / rel_path).data
+        labels = load_pgm(fcm_root / f"{rel_path[:-4]}_labels.pgm").data
+        assert np.array_equal(plane, image * (labels != 0)), rel_path
+
+
+def test_fcm_writes_the_same_files_with_masks_on_and_off_and_train_masks_after_either(tmp_path):
+    paths = dict(dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out", epochs=1)
+    unmasked = write_config(tmp_path / "off.cfg", fcm_mask_enabled="false", **paths)
+    masked = write_config(tmp_path / "on.cfg", fcm_mask_enabled="true", **paths)
+    for command in ("synth", "preprocess", "fcm"):
+        assert run(command, "--config", unmasked) == 0, command
+    written = _tree_bytes(tmp_path / "out" / "fcm")
+    assert len(written) == 2 * 16 + 1  # a label map and a membership table per image, summaries.csv
+    assert run("train", "--config", masked) == 0
+    assert run("fcm", "--config", masked) == 0
+    assert _tree_bytes(tmp_path / "out" / "fcm") == written
+
+
+def test_a_maxval_1_label_map_of_ones_leaves_its_image_whole(tmp_path, monkeypatch):
+    """As a mask, this file once zeroed its image: as a label map it labels every
+    pixel 1, so masking keeps them all."""
     cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset",
-                       output_dir=tmp_path / "out", fcm_mask_enabled="true")
+                       output_dir=tmp_path / "out", fcm_mask_enabled="true", epochs=1)
     preprocessed_manifest(tmp_path, cfg)
     assert run("fcm", "--config", cfg) == 0
-    mask = tmp_path / "out" / "fcm" / "blank" / "blank_000_mask.pgm"
-    mask.write_bytes(b"P5\n32 32\n1\n" + bytes([1]) * 32 * 32)
-    capsys.readouterr()
-    assert run("train", "--config", cfg) == 2
-    assert capsys.readouterr().err == f"data error: mask {str(mask)!r} holds samples other than 0 and 255\n"
+    rel_path = "blank/blank_000.pgm"
+    image = load_pgm(tmp_path / "out" / "preprocessed" / rel_path).data
+    labels = tmp_path / "out" / "fcm" / "blank" / "blank_000_labels.pgm"
+    assert (image * (load_pgm(labels).data != 0) != image).any()  # fcm's own map drops pixels
+    labels.write_bytes(b"P5\n32 32\n1\n" + bytes([1]) * 32 * 32)
+    planes = loaded_planes(monkeypatch)
+    assert run("train", "--config", cfg) == 0
+    assert np.array_equal(planes[rel_path], image)
 
 
 def _rewritten(change):
@@ -822,6 +928,110 @@ def test_evaluate_names_a_bad_checkpoint_in_one_data_error_line(tmp_path, capsys
     err = evaluate_corrupt_checkpoint(tmp_path, capsys, spoil)
     assert err.startswith("data error: ") and "Traceback" not in err, err
     assert str(tmp_path / "out" / "train" / "checkpoint.bin") in err and fragment in err, err
+
+
+@pytest.fixture(scope="module")
+def masked_run(tmp_path_factory):
+    """A finished synth, preprocess, fcm (masks on) and train run, and the validation
+    image that both train and evaluate read."""
+    root = tmp_path_factory.mktemp("masked_run")
+    cfg = write_config(root / "run.cfg", dataset_root=root / "dataset", output_dir=root / "out",
+                       fcm_mask_enabled="true", epochs=1, base_channels=4)
+    for command in ("synth", "preprocess", "fcm", "train"):
+        assert run(command, "--config", cfg) == 0, command
+    config = parse_config(cfg)
+    _, val_manifest, _ = cli._split(config, cli._preprocessed_manifest(config))
+    return root, val_manifest.entries[0][0]
+
+
+def _cut_inside_last(text: bytes, field: bytes, keep: int):
+    """Cut `text` `keep` bytes into the last occurrence of `field`."""
+    return text[:text.rindex(field) + keep]
+
+
+def _in_header(old: bytes, new: bytes):
+    return _rewritten(lambda blob: blob.replace(old, new, 1))
+
+
+def _after_first_line(junk: bytes):
+    return _rewritten(lambda blob: blob.replace(b"\n", b"\n" + junk, 1))
+
+
+# Every file train and evaluate read, by its path under output_dir; `{val}` is the
+# validation image's path without `.pgm`, `sha` the key its run record checks.
+READ_FILES = {
+    "manifest": ("preprocessed/manifest.csv", ("train", "evaluate")),
+    "image": ("preprocessed/{val}.pgm", ("train", "evaluate")),
+    "label map": ("fcm/{val}_labels.pgm", ("train", "evaluate")),
+    "fcm record": ("runrecord_fcm.txt", ("train", "evaluate")),
+    "train record": ("runrecord_train.txt", ("evaluate",)),
+}
+_PGM_CORRUPTIONS = [
+    ("empty", _rewritten(lambda blob: b""), 2),
+    ("truncated", _rewritten(lambda blob: blob[:-10]), 2),
+    ("maxval 0", _in_header(b"\n255\n", b"\n0\n"), 2),
+    ("width 31", _in_header(b"32 32", b"31 32"), 2),
+    ("directory", _directory, 2),
+    ("missing", Path.unlink, 2),
+]
+
+
+def _record_corruptions(key: bytes):
+    return [
+        ("empty", _rewritten(lambda blob: b""), 0),  # no line to compare: the check passes
+        ("truncated", _rewritten(lambda blob: _cut_inside_last(blob, key, len(key) + 12)), 2),
+        ("non-UTF-8", _after_first_line(b"\xff\n"), 2),
+        ("another digest", _rewritten(lambda blob: re.sub(key + rb": \w+", key + b": " + b"0" * 64, blob)), 2),
+        ("directory", _directory, 0),  # not a file, so no record: the check passes
+        ("missing", Path.unlink, 0),
+    ]
+
+
+# (file, corruption, how the file is spoiled, exit code); the image rows run with masks off,
+# since with masks on a changed image fails fcm's images_sha256 check before it is read
+FAULTS = [
+    *(("manifest", *case) for case in [
+        ("empty", _rewritten(lambda blob: b""), 2),
+        ("truncated", _rewritten(lambda blob: _cut_inside_last(blob, b",stripe", 4)), 2),
+        ("non-UTF-8", _after_first_line(b"blank/caf\xff.pgm,0,blank\n"), 2),
+        ("bad header field", _in_header(b",class_name", b",class"), 2),
+        ("directory", _directory, 2),
+        ("missing", Path.unlink, 2),
+    ]),
+    *(("image", *case) for case in _PGM_CORRUPTIONS),
+    *(("label map", *case) for case in _PGM_CORRUPTIONS),
+    *(("fcm record", *case) for case in _record_corruptions(b"images_sha256")),
+    *(("train record", *case) for case in _record_corruptions(b"split_sha256")),
+]
+
+
+@pytest.mark.parametrize("command,name,spoil,code", [
+    (command, name, spoil, code)
+    for name, case, spoil, code in FAULTS for command in READ_FILES[name][1]
+], ids=[f"{command}-{name}-{case}" for name, case, _, _ in FAULTS for command in READ_FILES[name][1]])
+def test_train_and_evaluate_on_a_damaged_input_exit_with_one_line_naming_it(
+        masked_run, tmp_path, capsys, command, name, spoil, code):
+    base, val = masked_run
+    shutil.copytree(base / "dataset", tmp_path / "dataset")
+    shutil.copytree(base / "out", tmp_path / "out")
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out",
+                       fcm_mask_enabled=str(name != "image").lower(), epochs=1, base_channels=4)
+    path = tmp_path / "out" / READ_FILES[name][0].format(val=val[:-4])
+    spoil(path)
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(command, "--config", cfg) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("data error: ") and str(path) in lines[0], lines
+        assert _tree_bytes(tmp_path) == before  # nothing written, in output_dir or elsewhere
+    else:
+        assert lines == []
+        after = _tree_bytes(tmp_path)
+        assert {k: v for k, v in after.items() if not k.startswith("out/")} == {
+            k: v for k, v in before.items() if not k.startswith("out/")}
 
 
 def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
