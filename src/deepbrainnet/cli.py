@@ -390,10 +390,9 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
                            f"but image_size is {config.image_size}")
     manifest = _preprocessed_manifest(config)
     if network.n_classes != len(manifest.class_names):
-        raise DatasetError(
-            f"checkpoint expects {network.n_classes} classes, dataset has "
-            f"{len(manifest.class_names)}"
-        )
+        manifest_path = os.path.join(_preprocessed_dir(config), "manifest.csv")
+        raise DatasetError(f"checkpoint {checkpoint_path!r} expects {network.n_classes} classes, "
+                           f"but {manifest_path!r} lists {len(manifest.class_names)}")
     _, val_manifest, split_sha256 = _split(config, manifest)
     _check_recorded(config, "train", "split_sha256", lambda: split_sha256, "the validation split differs "
                     "from the one train used (seed or train_fraction changed since train)")

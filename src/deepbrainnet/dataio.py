@@ -153,7 +153,7 @@ def load_pgm(path) -> GrayImage:
         raster = blob[pos : pos + count]
         if len(raster) < count:
             raise TruncatedPayloadError(
-                f"raster needs {count} bytes, file ends at byte {len(blob)}"
+                f"raster needs {count} bytes, file holds {len(raster)}"
             )
         data = np.frombuffer(raster, dtype=np.uint8)
         over = np.flatnonzero(data > maxval)

@@ -9,9 +9,11 @@ over the K x K kernel taps on flat phase planes of the padded input, a tap
 being one BLAS GEMM per image (see `_Conv`); what they return are NCHW views
 of those flat arrays, and every layer accepts any memory layout. Each layer
 caches what its backward pass needs (unless `_keep_caches` is off, as on the
-replicas that run inference), accumulates parameter gradients into its own
-buffers, and returns the gradient with respect to its input; a convolution
-that reads the network input (`input_grad = False`) returns None instead.
+replicas that run inference) and drops it as soon as backward has read it, so
+each forward serves at most one backward. Backward accumulates parameter
+gradients into the layer's own buffers and returns the gradient with respect
+to its input; a convolution that reads the network input (`input_grad =
+False`) returns None instead.
 """
 
 from __future__ import annotations
@@ -199,9 +201,17 @@ class _Conv(Layer):
     equal. `input_grad = False` skips it. Subclasses fix the stored
     weight shape, which `_taps` views tap-first; `DepthwiseConv2d` replaces
     the two per-tap products with broadcast multiplies.
+
+    Backward drops the cached planes once the weight gradients have read
+    them, before it builds the input-gradient frame. A conv linked by
+    `share_planes_with` hands each call's planes of x to its partner, whose
+    next forward of that same x reads them instead of building a copy.
     """
 
     input_grad = True
+    # the convs this one hands its planes to, in a tuple so that they are no children
+    _planes_to: tuple = ()
+    _handed = None  # (x, planes) from the conv that links to this one, until forward reads it
 
     def __init__(self, c_in, c_out, weight_shape, kernel, stride, padding, rng):
         if kernel % 2 == 0:
@@ -213,6 +223,13 @@ class _Conv(Layer):
         fan_in = int(np.prod(weight_shape[1:]))
         self._register(_kaiming(rng or Prng(0), weight_shape, fan_in), np.zeros(c_out))
         self._cache = None
+
+    def share_planes_with(self, other: _Conv) -> None:
+        """Hand `other`, which reads the same input right after this conv, the planes
+        of each forward; both must read it with the same kernel, stride and padding."""
+        if (other.kernel, other.stride, other.padding) != (self.kernel, self.stride, self.padding):
+            raise ValueError("convs that share planes need the same kernel, stride and padding")
+        self._planes_to = (other,)
 
     def _taps(self, a: np.ndarray) -> np.ndarray:
         """The weight (or its gradient) viewed as (K, K, channel axes...)."""
@@ -236,7 +253,13 @@ class _Conv(Layer):
         self._cache = None  # the last call's planes go before this call's are built
         # one spare row: the last taps' slices run (K - 1) // s past the last output row
         reach = (k - 1) // s
-        planes = _planes(x, p, 1, s, oh + reach + 1, ow + reach)
+        handed, self._handed = self._handed, None
+        if handed is not None and handed[0] is x:
+            planes = handed[1]
+        else:
+            planes = _planes(x, p, 1, s, oh + reach + 1, ow + reach)
+        for other in self._planes_to:
+            other._handed = (x, planes)
         weight = np.ascontiguousarray(self._taps(self.w))
         out = _tap_sum(self._tap_output, weight, lambda i, j: _tap(planes, i, j, oh))
         out += self.b[:, None]
@@ -245,13 +268,14 @@ class _Conv(Layer):
         return out.reshape(n, self.c_out, oh, ow + reach)[..., :ow]
 
     def backward(self, grad):
-        planes, h, w = self._cache
+        (planes, h, w), self._cache = self._cache, None
         k, s, p = self.kernel, self.stride, self.padding
         oh = grad.shape[2]
         g_flat = _tap(_planes(grad, 0, 1, 1, oh, planes.shape[-1]), 0, 0, oh)
         dweight = self._taps(self.dw)
         for i, j in np.ndindex(k, k):
             dweight[i, j] += self._tap_weight_grad(g_flat, _tap(planes, i, j, oh))
+        del planes  # the input-gradient frame is built without them
         self.db += g_flat.sum(axis=(0, 2))
         if not self.input_grad:
             return None
@@ -314,8 +338,11 @@ class ReLU(Layer):
             self._mask = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad):
-        return grad * self._mask
+    def backward(self, grad, out=None):
+        """grad where the input was positive, else 0; written into `out` if given,
+        which may be grad itself."""
+        mask, self._mask = self._mask, None
+        return np.multiply(grad, mask, out=out)
 
 
 class GlobalAvgPool(Layer):
@@ -351,7 +378,8 @@ class Dense(Layer):
         return x @ self.w.T + self.b
 
     def backward(self, grad):
-        self.dw += grad.T @ self._cache
+        x, self._cache = self._cache, None
+        self.dw += grad.T @ x
         self.db += grad.sum(axis=0)
         return grad @ self.w
 
@@ -382,9 +410,8 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, grad):
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+        mask, self._mask = self._mask, None
+        return grad if mask is None else grad * mask
 
 
 class DsBlock(Layer):
@@ -427,9 +454,11 @@ class ResidualBlock(Layer):
     def forward(self, x):
         x = as_tensor4(x, self.conv1.w.dtype)  # the skip sum adds x in the weights' dtype
         residual = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))
-        return self.relu2.forward(residual + x)
+        residual += x  # conv2's fresh output takes the skip sum in place
+        return self.relu2.forward(residual)
 
     def backward(self, grad):
         grad_sum = self.relu2.backward(grad)
-        grad_sum += self.conv1.backward(self.relu1.backward(self.conv2.backward(grad_sum)))
+        inner = self.conv2.backward(grad_sum)  # a fresh array, which relu1 masks in place
+        grad_sum += self.conv1.backward(self.relu1.backward(inner, out=inner))
         return grad_sum

@@ -161,13 +161,20 @@ class Network(Layer):
         return np.broadcast_to(source, x.shape) if one_plane else source
 
     def _fused(self, x: np.ndarray) -> np.ndarray:
-        """Both branches' pooled features of x, concatenated."""
-        fa = x
-        for layer in self.branch_a:
-            fa = layer.forward(fa)
+        """Both branches' pooled features of x, concatenated.
+
+        The stem runs first and branch B right after it: branch B's first
+        depthwise stage reads the stem's phase planes of x (`share_planes_with`)
+        while the stem's output is the only other activation alive, so a pass
+        that keeps no caches holds those planes only through the two
+        convolutions that read them. The rest of branch A runs last.
+        """
+        fa = self.branch_a[0].forward(x)
         fb = x
         for layer in self.branch_b:
             fb = layer.forward(fb)
+        for layer in self.branch_a[1:]:
+            fa = layer.forward(fa)
         return np.concatenate([fa, fb], axis=1)
 
     def forward_logits(self, x, uniforms: np.ndarray | None = None) -> np.ndarray:
@@ -284,14 +291,20 @@ class Network(Layer):
         return loss, probs
 
     def backward_from_logits(self, grad_logits: np.ndarray) -> None:
-        """Accumulate every parameter gradient; the input gradient is not computed."""
+        """Accumulate every parameter gradient; the input gradient is not computed.
+
+        Each layer drops its caches as its backward reads them. Branch B, the
+        smaller, runs first, so that branch A's larger backward transients meet
+        none of branch B's caches; the branches share no parameter, so the order
+        changes no gradient.
+        """
         grad = self.dense.backward(grad_logits.astype(self.dtype, copy=False))
         grad = self.dropout.backward(grad)
         ga, gb = grad[:, : self.base_channels], grad[:, self.base_channels :]
-        for layer in reversed(self.branch_a):
-            ga = layer.backward(ga)
         for layer in reversed(self.branch_b):
             gb = layer.backward(gb)
+        for layer in reversed(self.branch_a):
+            ga = layer.backward(ga)
 
 
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
@@ -303,7 +316,8 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     Branch B: stride-2 ds block then a second stride-2 ds block doubling the
     channel count. Both end in global average pooling; the head sees
     base_channels + 2*base_channels fused features. The two convolutions that
-    read the input compute no input gradient. The weights are drawn in
+    read the input compute no input gradient, and the stem hands its phase
+    planes of the input to branch B's depthwise stage. The weights are drawn in
     float64 and stored in `dtype`, which every layer then computes in.
     """
     if input_size < 16:
@@ -326,9 +340,10 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
         DsBlock(c, 2 * c, kernel=3, stride=2, padding=1, rng=rng),
         GlobalAvgPool(),
     ]
-    # nothing reads the gradient of the network input
+    # nothing reads the gradient of the network input, which the two read alike
     branch_a[0].input_grad = False
     branch_b[0].depthwise.input_grad = False
+    branch_a[0].share_planes_with(branch_b[0].depthwise)
     dropout = Dropout(dropout_rate)
     dense = Dense(3 * c, n_classes, rng=rng)
     network = Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)

@@ -668,7 +668,9 @@ def test_evaluate_rejects_class_count_mismatch(tmp_path, capsys):
     manifest.write_text("\n".join([header, *renumbered]) + "\n")
     capsys.readouterr()
     assert run("evaluate", "--config", cfg) == 2
-    assert capsys.readouterr().err == "data error: checkpoint expects 4 classes, dataset has 2\n"
+    checkpoint = out / "train" / "checkpoint.bin"
+    assert capsys.readouterr().err == (f"data error: checkpoint {str(checkpoint)!r} expects 4 classes, "
+                                       f"but {str(manifest)!r} lists 2\n")
 
 
 def test_later_stages_ignore_stale_preprocessed_images(tmp_path, capsys):

@@ -82,8 +82,9 @@ def test_p5_sample_above_maxval_is_rejected(tmp_path):
 def test_truncated_raster_is_rejected(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
-    with pytest.raises(TruncatedPayloadError, match="4 bytes"):
+    with pytest.raises(TruncatedPayloadError, match="4 bytes") as caught:
         load_pgm(path)
+    assert str(caught.value).endswith("file holds 2")
 
 
 def test_p2_truncated_samples(tmp_path):

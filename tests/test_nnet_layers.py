@@ -290,6 +290,23 @@ def test_conv_parameter_gradients_ignore_the_output_gradient_layout(kind):
     assert np.array_equal(found[0][1], found[1][1])
 
 
+def test_a_conv_reads_the_planes_handed_to_it_only_for_the_same_input():
+    """`share_planes_with`: the partner's forward of the stem's own input reads the
+    stem's planes, and of any other input builds its own; both give the same output."""
+    rng = Prng(29)
+    stem = Conv2d(3, 4, kernel=3, stride=2, padding=1, rng=rng)
+    depthwise = DepthwiseConv2d(3, kernel=3, stride=2, padding=1, rng=rng)
+    x, other = rng.normals((2, 3, 9, 9)), rng.normals((2, 3, 9, 9))
+    expected = [depthwise.forward(v).copy() for v in (x, other)]
+    stem.share_planes_with(depthwise)
+    for v, out in zip((x, other), expected):
+        stem.forward(x)
+        assert np.array_equal(depthwise.forward(v), out)
+        assert (depthwise._cache[0] is stem._cache[0]) == (v is x)
+    with pytest.raises(ValueError, match="same kernel, stride and padding"):
+        stem.share_planes_with(DepthwiseConv2d(3, kernel=3, stride=1, padding=1))
+
+
 # ---------------------------------------------------------------------------
 # depthwise / pointwise
 # ---------------------------------------------------------------------------

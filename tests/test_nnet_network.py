@@ -218,7 +218,8 @@ def test_uint8_predict_holds_nothing_per_image_beyond_its_chunk(monkeypatch):
 
 def test_an_inference_replica_keeps_no_backward_caches(monkeypatch):
     """The replicas that `predict` runs its chunks on hold no conv planes, ReLU masks
-    or Dense inputs after their chunks; training replicas keep theirs."""
+    or Dense inputs after their chunks; training replicas hold none once their
+    chunks' backward passes have read them."""
     pin_workers(monkeypatch, 2)
     replicas = []
     make = network_module.Network._replica
@@ -238,7 +239,22 @@ def test_an_inference_replica_keeps_no_backward_caches(monkeypatch):
     replicas.clear()
     net.train_step(x, np.arange(4) % 4, Prng(47))
     assert len(replicas) == 2
-    assert all(replica.branch_a[0]._cache is not None for replica in replicas)
+    for replica in replicas:
+        for layer in replica.iter_layers():
+            assert getattr(layer, "_cache", None) is None and getattr(layer, "_mask", None) is None
+
+
+def test_a_train_step_peaks_where_its_forward_does(monkeypatch):
+    """Backward drops each cache as it reads it, and its transients fit in what the
+    forward freed: a one-image 224 px step peaks within 256 KiB of that image's
+    forward with caches on."""
+    pin_workers(monkeypatch, 1)
+    net = build_deepbrainnet_mini(224, 4, seed=51, dtype=np.float32)
+    x, labels = _uint8_view(52, 1, 224), np.array([2])
+    uniforms = Prng(53).uniforms((1, net.dense.features_in))
+    forward = _peak_bytes(lambda: net.forward_logits(x, uniforms))
+    step = _peak_bytes(lambda: net.train_step(x, labels, Prng(54)))
+    assert step - forward < 256 * 1024, (step, forward)
 
 
 @pytest.mark.parametrize("size", [32, 224])
