@@ -130,7 +130,7 @@ def _check_recorded(config: RunConfig, command: str, key: str, current, problem:
 
     With no record or no such line (a checkpoint written by `save_checkpoint`
     alone, an fcm record older than `images_sha256`) there is nothing to
-    compare, and the check passes.
+    compare, and the check passes. A value that is no SHA-256 digest means a damaged record.
     """
     path = os.path.join(config.output_dir, f"runrecord_{command}.txt")
     if not os.path.isfile(path):
@@ -140,6 +140,8 @@ def _check_recorded(config: RunConfig, command: str, key: str, current, problem:
             recorded = next((line.split(": ", 1)[1].strip() for line in fh if line.startswith(f"{key}: ")), None)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"cannot decode run record {path!r}: {exc}") from exc
+    if recorded is not None and (len(recorded) != 64 or set(recorded) - set("0123456789abcdef")):
+        raise DatasetError(f"run record {path!r} is damaged: its {key} is no SHA-256 digest; rerun {command}")
     if recorded is not None and recorded != current():
         raise DatasetError(f"{problem}; {path!r} records another {key}; rerun {command}")
 

@@ -68,12 +68,10 @@ def save_checkpoint(network: Network, path) -> None:
         network.dropout.rate,
         len(records),
     )
-    blob = bytearray()
     for _, kind, _, param in records:
         header += struct.pack("<BB", _KIND_CODES[kind], param.ndim)
         header += struct.pack(f"<{param.ndim}I", *param.shape)
-        blob += param.astype("<f4").tobytes()
-    write_atomic(path, bytes(header + blob))
+    write_atomic(path, bytes(header) + network.flat_params.astype("<f4").tobytes())
 
     lines = ["index,layer,kind,param,shape"]
     for i, (name, kind, pname, param) in enumerate(records):
@@ -119,7 +117,9 @@ def load_checkpoint(path) -> Network:
             f"header of {path!r} ({n_classes} classes, {base_channels} base channels) "
             "disagrees with its shape table"
         )
-    pos = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")  # rewound: arrays claim it below
+    payload = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")
+    if pos != len(blob):
+        raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")
 
     try:
         network = build_deepbrainnet_mini(
@@ -139,12 +139,8 @@ def load_checkpoint(path) -> Network:
                 f"layer table mismatch in {path!r} at {name}.{pname}: "
                 f"expected {kind}{tuple(param.shape)}, found code {kind_code} dims {dims}"
             )
-        count = math.prod(dims)
-        offset = take(4 * count, f"{name}.{pname}")
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(values).all():
+    network.flat_params[...] = np.frombuffer(blob, "<f4", network.flat_params.size, payload)
+    for name, _, pname, param in records:
+        if not np.isfinite(param).all():
             raise CheckpointError(f"non-finite value in {name}.{pname} of {path!r}")
-        param[...] = values.reshape(dims)
-    if pos != len(blob):
-        raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")
     return network

@@ -18,9 +18,7 @@ False`) returns None instead.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -88,15 +86,15 @@ def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 class Layer:
     """Base layer: one parameter registry and one walk over it.
 
-    A layer with parameters calls `_register` once; composite layers hold
-    their sub-layers as attributes, which `children()` finds in assignment
-    order. Every accessor below walks `named_parameters()`, so parameter
-    order is declaration order, descending into children.
+    A layer with parameters calls `_register` once for its `w`, `b`, `dw` and
+    `db`; composite layers hold their sub-layers as attributes, which
+    `children()` finds in assignment order. Every accessor below walks
+    `named_parameters()`, so parameter order is declaration order, descending
+    into children.
     """
 
     kind = "layer"
-    params: Mapping[str, np.ndarray] = MappingProxyType({})
-    grads: Mapping[str, np.ndarray] = MappingProxyType({})
+    w: np.ndarray | None = None  # None on a layer without parameters
     # whether forward keeps what backward reads; an inference replica turns it off
     _keep_caches = True
 
@@ -107,19 +105,18 @@ class Layer:
         raise NotImplementedError
 
     def _register(self, weight: np.ndarray, bias: np.ndarray) -> None:
-        """Own a weight and a bias; `w`, `b`, `dw`, `db` alias the registered arrays."""
-        self.params = {"weight": weight, "bias": bias}
-        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        """Own a weight and a bias, and zeroed gradients of each."""
         self.w, self.b = weight, bias
-        self.dw, self.db = self.grads["weight"], self.grads["bias"]
+        self.dw, self.db = np.zeros_like(weight), np.zeros_like(bias)
 
     def children(self) -> dict[str, "Layer"]:
         return {name: v for name, v in vars(self).items() if isinstance(v, Layer)}
 
     def named_parameters(self, prefix: str = ""):
         """Yield (dotted name, parameter, gradient), then recurse into children."""
-        for name, param in self.params.items():
-            yield prefix + name, param, self.grads[name]
+        if self.w is not None:
+            yield prefix + "weight", self.w, self.dw
+            yield prefix + "bias", self.b, self.db
         for name, child in self.children().items():
             yield from child.named_parameters(f"{prefix}{name}.")
 

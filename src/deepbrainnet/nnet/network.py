@@ -50,8 +50,9 @@ class Network(Layer):
     """Branch lists, fusion by feature concatenation, and the classifier head.
 
     Its children are the named layers, so `named_parameters()` yields names
-    such as `branch_a.2.conv1.weight` and `head.dense.bias`. Branch A's pooled
-    features are the first `base_channels` of the fused ones.
+    such as `branch_a.2.conv1.weight` and `head.dense.bias`, in the order of
+    the flat buffers `flat_params` and `flat_grads` that they view (`_bind`).
+    Branch A's pooled features are the first `base_channels` of the fused ones.
 
     Inputs are (N, 3, H, W) tensors. A uint8 tensor holds pixel values: each
     chunk becomes `np.divide(chunk, 255.0, dtype=self.dtype)` where it runs,
@@ -78,6 +79,7 @@ class Network(Layer):
         self.n_classes = n_classes
         self.input_size = input_size
         self.base_channels = base_channels
+        self._replicas = {True: [], False: []}  # idle replicas by `keep_caches` (`_map_chunks`)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -93,7 +95,22 @@ class Network(Layer):
     @property
     def dtype(self) -> np.dtype:
         """The dtype of every parameter, and of what the layers compute."""
-        return self.dense.w.dtype
+        return self.flat_params.dtype
+
+    def _bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Make `params` and `grads` the flat buffers, and each layer's w, b, dw and db
+        their views at its offset, in `named_parameters()` order."""
+        self.flat_params, self.flat_grads = params, grads
+        offset = 0
+        for layer in self.iter_layers():
+            for name in ("w", "b") if layer.w is not None else ():
+                old = getattr(layer, name)
+                setattr(layer, name, params[offset : offset + old.size].reshape(old.shape))
+                setattr(layer, "d" + name, grads[offset : offset + old.size].reshape(old.shape))
+                offset += old.size
+
+    def zero_grads(self) -> None:
+        self.flat_grads.fill(0.0)
 
     def iter_layers(self):
         """Every layer, descending into composite blocks."""
@@ -124,18 +141,6 @@ class Network(Layer):
             for relu in relus:
                 del relu._margins
         return min(margins)
-
-    def get_weights(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def set_weights(self, weights: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(weights) != len(params):
-            raise ValueError("weight list length mismatch")
-        for p, w in zip(params, weights):
-            if p.shape != w.shape:
-                raise ValueError(f"weight shape mismatch: {p.shape} vs {w.shape}")
-            p[...] = w
 
     # -- forward / backward -------------------------------------------------
 
@@ -189,19 +194,17 @@ class Network(Layer):
                    for layer in self.iter_layers())
 
     def _replica(self, keep_caches: bool = True) -> Network:
-        """A copy that shares every parameter array and owns its gradients and caches.
+        """A copy that shares the parameter buffer and owns its gradient buffer and caches.
 
-        The caches a pass on this network itself left on its layers are not copied:
-        every chunk fills its replica's own before reading them. Without
-        `keep_caches` the replica's layers keep nothing for a backward pass,
-        which only inference may then run on it.
+        The caches a pass on this network itself left on its layers, and its idle
+        replicas, are not copied. Without `keep_caches` the replica's layers keep
+        nothing for a backward pass, which only inference may then run on it.
         """
-        memo = {id(p): p for p in self.parameters()}
+        memo = {id(self.flat_params): self.flat_params, id(self._replicas): None}
         for layer in self.iter_layers():
-            for cache in (getattr(layer, "_cache", None), getattr(layer, "_mask", None)):
-                if cache is not None:
-                    memo[id(cache)] = None
+            memo.update((id(getattr(layer, name, None)), None) for name in ("_cache", "_mask", "_handed"))
         replica = copy.deepcopy(self, memo)
+        replica._bind(self.flat_params, replica.flat_grads)  # its copy of the gradient buffer
         if not keep_caches:
             for layer in replica.iter_layers():
                 layer._keep_caches = False
@@ -211,13 +214,25 @@ class Network(Layer):
         """[run(network, i) for i in starts], the chunks spread over worker threads.
 
         Each worker of `parallel.map_on_workers` (one worker runs in the calling
-        thread) runs its chunks on its own replica, made with `keep_caches`.
+        thread) runs its chunks on its own replica with `keep_caches`, taken from
+        this network's idle ones (or made) and put back once every chunk has run.
         Only wrappers on the layers, which a replica would share with this
         network across threads, make the chunks run on this network.
         """
         if self._instrumented():
             return [run(self, i) for i in starts]
-        return parallel.map_on_workers(run, starts, lambda: self._replica(keep_caches))
+        idle, taken = self._replicas[keep_caches], []
+
+        def take() -> Network:
+            try:
+                taken.append(idle.pop())  # atomic: concurrent calls never share a replica
+            except IndexError:
+                taken.append(self._replica(keep_caches))
+            return taken[-1]
+
+        results = parallel.map_on_workers(run, starts, take)
+        idle.extend(taken)
+        return results
 
     def inference_logits(self, x) -> np.ndarray:
         """Logits with dropout disabled, the branches run over cache-sized chunks.
@@ -278,15 +293,15 @@ class Network(Layer):
                 return part, loss, None
             net.zero_grads()
             net.backward_from_logits(grad)
-            return part, loss, [g.copy() for g in net.gradients()]
+            return part, loss, net.flat_grads.copy()
 
         results = self._map_chunks(step, starts)
         self.zero_grads()
         for _, loss, grads in results:
             if grads is None:
+                self._replicas[True].clear()  # a replica that skipped backward holds its caches
                 return loss, None
-            for total, g in zip(self.gradients(), grads):
-                total += g
+            self.flat_grads += grads
         loss, _, probs = softmax_cross_entropy(np.concatenate([part for part, _, _ in results]), labels)
         return loss, probs
 
@@ -347,9 +362,8 @@ def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
     dropout = Dropout(dropout_rate)
     dense = Dense(3 * c, n_classes, rng=rng)
     network = Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
-    for layer in network.iter_layers():
-        if layer.params:
-            layer._register(layer.w.astype(dtype), layer.b.astype(dtype))
+    params = np.concatenate([p.ravel() for p in network.parameters()]).astype(dtype)
+    network._bind(params, np.zeros_like(params))
     return network
 
 
@@ -393,11 +407,11 @@ def gradient_check(network: Network, sample, epsilon: float = 1e-5) -> float:
     """
     x, labels = sample
     x = as_tensor4(x)
+    params, grads = network.flat_params, network.flat_grads
 
-    def loss_value() -> float:
-        logits = network.forward_logits(x)
-        loss, _, _ = softmax_cross_entropy(logits, labels)
-        return loss
+    def loss_at(i: int, value) -> float:
+        params[i] = value
+        return softmax_cross_entropy(network.forward_logits(x), labels)[0]
 
     network.zero_grads()
     logits = network.forward_logits(x)
@@ -405,18 +419,9 @@ def gradient_check(network: Network, sample, epsilon: float = 1e-5) -> float:
     network.backward_from_logits(dlogits)
 
     worst = 0.0
-    for _, param, grad in network.named_parameters():
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            plus = loss_value()
-            flat[i] = original - epsilon
-            minus = loss_value()
-            flat[i] = original
-            numeric = (plus - minus) / (2.0 * epsilon)
-            err = abs(numeric - gflat[i]) / max(abs(numeric) + abs(gflat[i]), 1e-5)
-            if err > worst:
-                worst = err
+    for i in range(params.size):
+        original = params[i]
+        numeric = (loss_at(i, original + epsilon) - loss_at(i, original - epsilon)) / (2.0 * epsilon)
+        params[i] = original
+        worst = max(worst, abs(numeric - grads[i]) / max(abs(numeric) + abs(grads[i]), 1e-5))
     return worst

@@ -74,24 +74,23 @@ class TrainingHistory:
 
 
 class Adam:
-    """Per-parameter first/second moment state with bias correction; every
-    array steps on every call, so one step count `t` serves them all."""
+    """First/second moment state with bias correction over one parameter array,
+    such as a network's `flat_params`, updated in place by each step."""
 
-    def __init__(self, params: list[np.ndarray], beta1: float, beta2: float, epsilon: float):
+    def __init__(self, params: np.ndarray, beta1: float, beta2: float, epsilon: float):
         self.params = params
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
+    def step(self, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grads * grads
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        self.params -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 def evaluate_loss(network: Network, x: np.ndarray, labels: np.ndarray):
@@ -130,12 +129,12 @@ def train(
             raise ValueError(f"labels must lie in [0, {network.n_classes})")
 
     rng = Prng(config.seed)
-    optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
+    optimizer = Adam(network.flat_params, config.beta1, config.beta2, config.adam_epsilon)
 
     history = TrainingHistory()
     lr = config.learning_rate
     best_val = np.inf
-    best_weights = network.get_weights()
+    best_weights = network.flat_params.copy()
     stale_stop = 0
     stale_lr = 0
     n = train_x.shape[0]
@@ -157,7 +156,7 @@ def train(
                 raise NonFiniteLossError(
                     f"non-finite training loss at epoch {epoch}, batch start {start}"
                 )
-            optimizer.step(network.gradients(), lr)
+            optimizer.step(network.flat_grads, lr)
             epoch_loss += loss * len(batch)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
 
@@ -173,7 +172,7 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = network.get_weights()
+            best_weights = network.flat_params.copy()
             history.best_epoch = epoch
             stale_stop = 0
             stale_lr = 0
@@ -186,5 +185,5 @@ def train(
             if stale_stop >= config.early_stop_patience:
                 break
 
-    network.set_weights(best_weights)
+    network.flat_params[...] = best_weights
     return history

@@ -404,17 +404,128 @@ def test_many_workers_on_few_cores_still_run_each_chunk_once(monkeypatch):
 
 
 def test_a_replica_shares_the_parameters_and_owns_its_gradients_but_no_caches():
+    """Its parameters view the network's buffer and its gradients a buffer of its own;
+    its stem still hands its planes to its own branch B depthwise conv."""
     net = build_deepbrainnet_mini(224, 4, seed=87, dtype=np.float32)
     uniforms = Prng(89).uniforms((1, net.dense.features_in))
     net.forward_logits(Prng(88).uniforms((1, 3, 224, 224)), uniforms)  # fills caches
     replica = net._replica()
-    assert all(a is b for a, b in zip(replica.parameters(), net.parameters(), strict=True))
-    assert not any(a is b for a, b in zip(replica.gradients(), net.gradients(), strict=True))
-    for layer in replica.iter_layers():
-        if layer.params:  # `w` and `dw` still alias the registered arrays
-            assert layer.w is layer.params["weight"] and layer.dw is layer.grads["weight"]
-        assert getattr(layer, "_cache", None) is None and getattr(layer, "_mask", None) is None
+    assert np.shares_memory(replica.flat_params, net.flat_params)
+    assert not np.shares_memory(replica.flat_grads, net.flat_grads)
+    for (name, p, g), (_, rp, rg) in zip(net.named_parameters(), replica.named_parameters(), strict=True):
+        assert np.shares_memory(rp, p) and rp.shape == p.shape, name
+        assert np.shares_memory(rg, replica.flat_grads) and not np.shares_memory(rg, net.flat_grads), name
+    assert replica.branch_a[0]._planes_to == (replica.branch_b[0].depthwise,)
+    assert _holds_no_caches(replica)
     assert net.branch_a[0]._cache is not None and net.dropout._mask is not None
+
+
+def _holds_no_caches(net) -> bool:
+    return all(getattr(layer, name, None) is None
+               for layer in net.iter_layers() for name in ("_cache", "_mask", "_handed"))
+
+
+def _one_image_chunks(monkeypatch, size):
+    """Chunks of one float32 image at `size` px, on two workers."""
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(network_module, "_CHUNK_BYTES", 3 * size * size * 4)
+
+
+def test_a_second_call_reuses_the_kept_replicas_and_returns_the_same_bits(monkeypatch):
+    """`predict` and `train_step` take the replicas the first call of each made, one per
+    worker: the second calls make none and return the first calls' bits."""
+    _one_image_chunks(monkeypatch, 32)
+    made = []
+    make = network_module.Network._replica
+
+    def counting(self, *args, **kwargs):
+        made.append(make(self, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(network_module.Network, "_replica", counting)
+    net = build_deepbrainnet_mini(32, 4, seed=90, dtype=np.float32)
+    x, labels = _uint8_view(91, 5, 32), np.arange(5) % 4
+    first = _outcomes(net, x, labels, 92)
+    assert len(made) == 4  # two workers, each with an inference and a training replica
+    second = _outcomes(net, x, labels, 92)
+    assert len(made) == 4
+    assert sorted(map(id, made)) == sorted(id(r) for pool in net._replicas.values() for r in pool)
+    for k, (a, b) in enumerate(zip(first, second, strict=True)):
+        assert np.array_equal(a, b), k
+
+
+def test_no_kept_replica_holds_a_cache_after_predict_train_step_or_a_non_finite_loss(monkeypatch):
+    """A training replica whose chunk loss is not finite skips backward with its caches
+    full, so the training replicas of that call are not kept; the next step makes new
+    ones and gives the gradients of a network that never met the poisoned batch."""
+    _one_image_chunks(monkeypatch, 32)
+    net = build_deepbrainnet_mini(32, 4, seed=93, dtype=np.float32)
+    x, labels = Prng(94).uniforms((4, 3, 32, 32)), np.arange(4) % 4
+    reference = _outcomes(build_deepbrainnet_mini(32, 4, seed=93, dtype=np.float32), x, labels, 95)
+    predict(net, x)
+    net.train_step(x, labels, Prng(95))
+    assert [len(net._replicas[keep]) for keep in (False, True)] == [2, 2]
+    assert all(_holds_no_caches(r) for pool in net._replicas.values() for r in pool)
+    poisoned = x.copy()
+    poisoned[-1] = np.nan  # the last chunk: no later one clears its replica's caches
+    with np.errstate(invalid="ignore"):
+        loss, probs = net.train_step(poisoned, labels, Prng(95))
+    assert not np.isfinite(loss) and probs is None
+    assert all(_holds_no_caches(r) for pool in net._replicas.values() for r in pool)
+    for k, (a, b) in enumerate(zip(_outcomes(net, x, labels, 95), reference, strict=True)):
+        assert np.array_equal(a, b), k
+
+
+def _in_threads(calls, timeout=120) -> list:
+    """The results of calls, each run in its own thread at once."""
+    results = [None] * len(calls)
+    threads = [threading.Thread(target=lambda k=k: results.__setitem__(k, calls[k]()))
+               for k in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+        assert not thread.is_alive()
+    return results
+
+
+def test_two_threads_predicting_on_one_network_at_once_hold_two_replicas(monkeypatch):
+    """Each call takes its replica before either runs a chunk, so they never share one,
+    and each gets the rows a serial call gets. Then four threads predict three times
+    each, on three workers apiece, under a 1 us switch interval: every call still gets
+    the serial rows, and no replica is lost from the pool or kept in it twice."""
+    pin_workers(monkeypatch, 1)
+    net = build_deepbrainnet_mini(32, 4, seed=96, dtype=np.float32)
+    xs = [_uint8_view(seed, 5, 32) for seed in (97, 98)]
+    serial = [predict(net, x) for x in xs]
+    real, barrier, held = parallel.map_on_workers, threading.Barrier(2, timeout=60), []
+
+    def holding(run, items, make_worker):
+        worker = make_worker()
+        held.append(worker)
+        barrier.wait()  # each call holds its replica until the other has taken one
+        return real(run, items, lambda: worker)
+
+    monkeypatch.setattr(parallel, "map_on_workers", holding)
+    results = _in_threads([lambda x=x: predict(net, x) for x in xs])
+    assert len(held) == 2 and held[0] is not held[1]
+    for k in range(2):
+        assert np.array_equal(results[k], serial[k]), k
+    assert len(net._replicas[False]) == 2
+
+    monkeypatch.setattr(parallel, "map_on_workers", real)
+    _one_image_chunks(monkeypatch, 32)
+    pin_workers(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _in_threads([lambda k=k: [predict(net, xs[k % 2]) for _ in range(3)] for k in range(4)])
+    finally:
+        sys.setswitchinterval(interval)
+    for k, rows in enumerate(results):
+        assert all(np.array_equal(r, serial[k % 2]) for r in rows), k
+    idle = net._replicas[False]
+    assert len({id(r) for r in idle}) == len(idle) >= 3
 
 
 def test_train_step_draws_the_batch_dropout_uniforms_once(monkeypatch):

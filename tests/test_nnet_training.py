@@ -135,7 +135,7 @@ def _train_until_non_finite(net, train_set, val_set, config):
     step = net.train_step
 
     def recording(*args):
-        before[:] = net.get_weights()
+        before[:] = [p.copy() for p in net.parameters()]
         return step(*args)
 
     net.train_step = recording
@@ -215,17 +215,53 @@ def test_float32_step_and_adam_update_stay_in_float32():
             setattr(layer, name, recorded)
     (x, y), _ = build_and_split()  # float64 inputs, cast by the network
     config = small_config()
-    optimizer = Adam(net.parameters(), config.beta1, config.beta2, config.adam_epsilon)
+    optimizer = Adam(net.flat_params, config.beta1, config.beta2, config.adam_epsilon)
     net.train_step(x, y, Prng(6))
-    optimizer.step(net.gradients(), config.learning_rate)
-    arrays = net.parameters() + net.gradients() + optimizer.m + optimizer.v + returned
+    optimizer.step(net.flat_grads, config.learning_rate)
+    arrays = [*net.parameters(), *net.gradients(), net.flat_params, net.flat_grads,
+              optimizer.m, optimizer.v, *returned]
     assert len(returned) > 2 * len(net.named_layers())
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     scores = predict(net, x)
     assert scores.dtype == np.float64 and np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-9
     reference = build_deepbrainnet_mini(16, 3, dtype=np.float64)  # the same weights, in float64
-    reference.set_weights(net.get_weights())
+    reference.flat_params[...] = net.flat_params
     assert np.abs(scores - predict(reference, x)).max() < 1e-5
+
+
+def _per_array_adam_step(state, params, grads, lr, beta1, beta2, epsilon):
+    """The Adam update as one loop over the parameter arrays, each with its own moments:
+    the reference the flat update must equal bit for bit."""
+    state["t"] += 1
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state["m"][i] = beta1 * state["m"][i] + (1 - beta1) * g
+        state["v"][i] = beta2 * state["v"][i] + (1 - beta2) * g * g
+        m_hat = state["m"][i] / (1 - beta1 ** state["t"])
+        v_hat = state["v"][i] / (1 - beta2 ** state["t"])
+        p -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
+def test_the_flat_adam_step_equals_the_per_array_update_bit_for_bit():
+    """300 float32 steps over the network's arrays, on gradients of magnitude 1e-6 to 1
+    and a learning rate halved every 50 steps."""
+    net = build_deepbrainnet_mini(16, 3, seed=11, base_channels=4, dtype=np.float32)
+    config = small_config()
+    hyper = (config.beta1, config.beta2, config.adam_epsilon)
+    optimizer = Adam(net.flat_params, *hyper)
+    reference = [p.copy() for p in net.parameters()]
+    state = {"t": 0, "m": [np.zeros_like(p) for p in reference], "v": [np.zeros_like(p) for p in reference]}
+    rng = np.random.default_rng(12)
+    lr = 1e-2
+    for step in range(300):
+        if step and step % 50 == 0:
+            lr *= 0.5
+        size = net.flat_grads.size
+        net.flat_grads[...] = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6.0, 0.0, size)
+        optimizer.step(net.flat_grads, lr)
+        _per_array_adam_step(state, reference, [g.copy() for g in net.gradients()], lr, *hyper)
+    assert optimizer.m.dtype == np.float32 and optimizer.t == 300
+    for (name, param, _), expected in zip(net.named_parameters(), reference, strict=True):
+        assert np.array_equal(param, expected), name
 
 
 def test_reloaded_float32_checkpoint_predicts_bit_identically(tmp_path):

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     network = build_deepbrainnet_mini(args.size, 4, seed=SEED, dtype=np.float32)
     network = _instrument_network(tracer, network)
     config = TrainConfig(seed=SEED)
-    optimizer = Adam(network.parameters(), config.beta1, config.beta2, config.adam_epsilon)
+    optimizer = Adam(network.flat_params, config.beta1, config.beta2, config.adam_epsilon)
     adam_step = tracer.traced(optimizer.step, "nnet.adam_step")
     dropout_rng = Prng(SEED)
     x = np.random.default_rng(SEED).random((args.batch, 3, args.size, args.size), dtype=np.float32)
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         tracer.run_id = str(step)
         with tracer.span("step"):
             network.train_step(x, labels, dropout_rng)
-            adam_step(network.gradients(), config.learning_rate)
+            adam_step(network.flat_grads, config.learning_rate)
     # per measured step: seconds of each span name; the warm-up step "0" is left out
     seconds: dict[str, list[float]] = defaultdict(lambda: [0.0] * args.steps)
     for name, start, end, _, run_id in tracer.spans:
