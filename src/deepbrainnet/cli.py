@@ -160,12 +160,17 @@ def _fcm_path(config: RunConfig, rel_path: str, suffix: str) -> str:
     return os.path.join(_fcm_dir(config), f"{rel_path[:-4]}_{suffix}")
 
 
-def _read_plane(path: str, size: int, what: str, remedy: str) -> np.ndarray:
-    """The (size, size) pixels of the PGM at `path`; errors name the file."""
+def _decoded(path: str):
+    """The PGM at `path`; a decoding error names the file."""
     try:
-        image = load_pgm(path)
+        return load_pgm(path)
     except PgmError as exc:
         raise DatasetError(f"cannot decode PGM {path!r}: {exc}") from None
+
+
+def _read_plane(path: str, size: int, what: str, remedy: str) -> np.ndarray:
+    """The (size, size) pixels of the PGM at `path`; errors name the file."""
+    image = _decoded(path)
     if (image.width, image.height) != (size, size):
         raise DatasetError(f"{what} {path!r} is {image.width}x{image.height}, not {size}x{size}; {remedy}")
     return image.data
@@ -308,10 +313,9 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     summaries = []
     iterations, converged, level_counts = [], 0, []
     for index, (rel_path, _) in enumerate(manifest.entries):
+        image = _decoded(manifest.full_path(rel_path))
         try:
-            image = load_pgm(manifest.full_path(rel_path))
-            fcm_config = config.fcm_config(derive_seed(fcm_seed, index))
-            label_map, result = fcm_segment(image, fcm_config)
+            label_map, result = fcm_segment(image, config.fcm_config(derive_seed(fcm_seed, index)))
         except ValueError as exc:
             raise DatasetError(f"fcm failed on {rel_path}: {exc}") from exc
         labels_path = _fcm_path(config, rel_path, "labels.pgm")

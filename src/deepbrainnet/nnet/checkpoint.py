@@ -13,8 +13,9 @@ Layout (all integers little-endian):
     then          every parameter as f32, flattened C-order, in declaration order
 
 The file holds exactly the float32 model that `train` computed with, and
-loading builds a float32 network, so a reloaded model predicts as the one
-that was saved. A float64 network is rounded to float32 when saved.
+loading constructs a float32 network from the header values and fills its
+parameters from the payload, so a reloaded model predicts as the one that
+was saved. A float64 network is rounded to float32 when saved.
 Loading rejects a parameter value that is NaN or infinite. A sidecar CSV
 (same path + ".layers.csv") lists layer names, kinds, parameter names, and
 shapes for inspection.
@@ -28,7 +29,7 @@ import struct
 import numpy as np
 
 from ..dataio import write_atomic
-from .network import Network, build_deepbrainnet_mini
+from .network import Network
 
 MAGIC = b"DBNMINI\x00"
 VERSION = 1
@@ -122,10 +123,7 @@ def load_checkpoint(path) -> Network:
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")
 
     try:
-        network = build_deepbrainnet_mini(
-            input_size, n_classes, seed=0, dropout_rate=dropout_rate, base_channels=base_channels,
-            dtype=np.float32,
-        )
+        network = Network(input_size, n_classes, base_channels, dropout_rate, np.float32)
     except ValueError as exc:  # a header value the network cannot take
         raise CheckpointError(f"bad header in {path!r}: {exc}") from exc
     records = _param_records(network)

@@ -13,7 +13,9 @@ replicas that run inference) and drops it as soon as backward has read it, so
 each forward serves at most one backward. Backward accumulates parameter
 gradients into the layer's own buffers and returns the gradient with respect
 to its input; a convolution that reads the network input (`input_grad =
-False`) returns None instead.
+False`) returns None instead. A layer built with an rng draws Kaiming-normal
+weights from it; one built without holds zero weights, for whatever fills
+them in (a loaded checkpoint, a replica viewing its network's parameters).
 """
 
 from __future__ import annotations
@@ -126,9 +128,6 @@ class Layer:
     def gradients(self) -> list[np.ndarray]:
         return [g for _, _, g in self.named_parameters()]
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grads(self) -> None:
         for g in self.gradients():
             g[...] = 0.0
@@ -218,7 +217,8 @@ class _Conv(Layer):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = int(np.prod(weight_shape[1:]))
-        self._register(_kaiming(rng or Prng(0), weight_shape, fan_in), np.zeros(c_out))
+        weight = np.zeros(weight_shape) if rng is None else _kaiming(rng, weight_shape, fan_in)
+        self._register(weight, np.zeros(c_out))
         self._cache = None
 
     def share_planes_with(self, other: _Conv) -> None:
@@ -362,8 +362,9 @@ class Dense(Layer):
 
     def __init__(self, features_in, features_out, rng: Prng | None = None):
         self.features_in, self.features_out = features_in, features_out
-        rng = rng or Prng(0)
-        self._register(_kaiming(rng, (features_out, features_in), features_in), np.zeros(features_out))
+        shape = (features_out, features_in)
+        weight = np.zeros(shape) if rng is None else _kaiming(rng, shape, features_in)
+        self._register(weight, np.zeros(features_out))
         self._cache = None
 
     def forward(self, x):

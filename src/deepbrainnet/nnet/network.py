@@ -10,7 +10,6 @@ convolutions) at a few thousand parameters.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -62,24 +61,49 @@ class Network(Layer):
 
     kind = "network"
 
-    def __init__(
-        self,
-        branch_a: list[Layer],
-        branch_b: list[Layer],
-        dropout: Dropout,
-        dense: Dense,
-        n_classes: int,
-        input_size: int,
-        base_channels: int,
-    ):
-        self.branch_a = branch_a
-        self.branch_b = branch_b
-        self.dropout = dropout
-        self.dense = dense
+    def __init__(self, input_size: int, n_classes: int, base_channels: int, dropout_rate: float,
+                 dtype, rng: Prng | None = None):
+        """The two-branch classifier, its weights drawn from `rng` or zeros without one.
+
+        Branch A: stride-2 stem convolution then two residual blocks.
+        Branch B: stride-2 ds block then a second stride-2 ds block doubling the
+        channel count. Both end in global average pooling; the head sees
+        base_channels + 2*base_channels fused features. The two convolutions that
+        read the input compute no input gradient, and the stem hands its phase
+        planes of the input to branch B's depthwise stage. The weights are drawn
+        in float64 and stored in `dtype`, which every layer then computes in.
+        """
+        if input_size < 16:
+            raise ValueError(f"input_size must be >= 16 for the stride plan, got {input_size}")
+        if n_classes < 2:
+            raise ValueError(f"need at least 2 classes, got {n_classes}")
+        if base_channels < 1:
+            raise ValueError(f"base_channels must be >= 1, got {base_channels}")
+        c = base_channels
+        self.branch_a: list[Layer] = [
+            Conv2d(3, c, kernel=3, stride=2, padding=1, rng=rng),
+            ReLU(),
+            ResidualBlock(c, kernel=3, rng=rng),
+            ResidualBlock(c, kernel=3, rng=rng),
+            GlobalAvgPool(),
+        ]
+        self.branch_b: list[Layer] = [
+            DsBlock(3, c, kernel=3, stride=2, padding=1, rng=rng),
+            DsBlock(c, 2 * c, kernel=3, stride=2, padding=1, rng=rng),
+            GlobalAvgPool(),
+        ]
+        # nothing reads the gradient of the network input, which the two read alike
+        self.branch_a[0].input_grad = False
+        self.branch_b[0].depthwise.input_grad = False
+        self.branch_a[0].share_planes_with(self.branch_b[0].depthwise)
+        self.dropout = Dropout(dropout_rate)
+        self.dense = Dense(3 * c, n_classes, rng=rng)
         self.n_classes = n_classes
         self.input_size = input_size
         self.base_channels = base_channels
         self._replicas = {True: [], False: []}  # idle replicas by `keep_caches` (`_map_chunks`)
+        params = np.concatenate([p.ravel() for p in self.parameters()]).astype(dtype)
+        self._bind(params, np.zeros_like(params))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -189,22 +213,22 @@ class Network(Layer):
 
     def _instrumented(self) -> bool:
         """Whether a layer's forward or backward is an instance attribute: a timing or
-        recording wrapper bound to this network's layers, which a replica would share."""
+        recording wrapper bound to this network's layers, which a replica, a fresh
+        tree, does not carry."""
         return any("forward" in vars(layer) or "backward" in vars(layer)
                    for layer in self.iter_layers())
 
     def _replica(self, keep_caches: bool = True) -> Network:
-        """A copy that shares the parameter buffer and owns its gradient buffer and caches.
+        """A fresh network of this one's shape that views its parameter buffer and owns
+        its gradient buffer and caches.
 
-        The caches a pass on this network itself left on its layers, and its idle
-        replicas, are not copied. Without `keep_caches` the replica's layers keep
-        nothing for a backward pass, which only inference may then run on it.
+        It is built by the constructor, so it holds none of this network's caches,
+        idle replicas or layer wrappers. Without `keep_caches` the replica's layers
+        keep nothing for a backward pass, which only inference may then run on it.
         """
-        memo = {id(self.flat_params): self.flat_params, id(self._replicas): None}
-        for layer in self.iter_layers():
-            memo.update((id(getattr(layer, name, None)), None) for name in ("_cache", "_mask", "_handed"))
-        replica = copy.deepcopy(self, memo)
-        replica._bind(self.flat_params, replica.flat_grads)  # its copy of the gradient buffer
+        replica = Network(self.input_size, self.n_classes, self.base_channels, self.dropout.rate,
+                          self.dtype)
+        replica._bind(self.flat_params, replica.flat_grads)
         if not keep_caches:
             for layer in replica.iter_layers():
                 layer._keep_caches = False
@@ -216,8 +240,8 @@ class Network(Layer):
         Each worker of `parallel.map_on_workers` (one worker runs in the calling
         thread) runs its chunks on its own replica with `keep_caches`, taken from
         this network's idle ones (or made) and put back once every chunk has run.
-        Only wrappers on the layers, which a replica would share with this
-        network across threads, make the chunks run on this network.
+        Only wrappers on the layers make the chunks run on this network: a replica
+        is a fresh tree that does not carry them.
         """
         if self._instrumented():
             return [run(self, i) for i in starts]
@@ -325,46 +349,9 @@ class Network(Layer):
 def build_deepbrainnet_mini(input_size: int, n_classes: int, seed: int = 0,
                             dropout_rate: float = 0.3, base_channels: int = 8,
                             dtype=np.float64) -> Network:
-    """Construct the two-branch classifier with seeded Kaiming initialization.
-
-    Branch A: stride-2 stem convolution then two residual blocks.
-    Branch B: stride-2 ds block then a second stride-2 ds block doubling the
-    channel count. Both end in global average pooling; the head sees
-    base_channels + 2*base_channels fused features. The two convolutions that
-    read the input compute no input gradient, and the stem hands its phase
-    planes of the input to branch B's depthwise stage. The weights are drawn in
-    float64 and stored in `dtype`, which every layer then computes in.
-    """
-    if input_size < 16:
-        raise ValueError(f"input_size must be >= 16 for the stride plan, got {input_size}")
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if base_channels < 1:
-        raise ValueError(f"base_channels must be >= 1, got {base_channels}")
-    c = base_channels
-    rng = Prng(derive_seed(seed, 0xBEEF))
-    branch_a: list[Layer] = [
-        Conv2d(3, c, kernel=3, stride=2, padding=1, rng=rng),
-        ReLU(),
-        ResidualBlock(c, kernel=3, rng=rng),
-        ResidualBlock(c, kernel=3, rng=rng),
-        GlobalAvgPool(),
-    ]
-    branch_b: list[Layer] = [
-        DsBlock(3, c, kernel=3, stride=2, padding=1, rng=rng),
-        DsBlock(c, 2 * c, kernel=3, stride=2, padding=1, rng=rng),
-        GlobalAvgPool(),
-    ]
-    # nothing reads the gradient of the network input, which the two read alike
-    branch_a[0].input_grad = False
-    branch_b[0].depthwise.input_grad = False
-    branch_a[0].share_planes_with(branch_b[0].depthwise)
-    dropout = Dropout(dropout_rate)
-    dense = Dense(3 * c, n_classes, rng=rng)
-    network = Network(branch_a, branch_b, dropout, dense, n_classes, input_size, base_channels)
-    params = np.concatenate([p.ravel() for p in network.parameters()]).astype(dtype)
-    network._bind(params, np.zeros_like(params))
-    return network
+    """The mini network (`Network`) with Kaiming-normal weights drawn from `seed`."""
+    return Network(input_size, n_classes, base_channels, dropout_rate, dtype,
+                   Prng(derive_seed(seed, 0xBEEF)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -959,11 +959,12 @@ def _after_first_line(junk: bytes):
     return _rewritten(lambda blob: blob.replace(b"\n", b"\n" + junk, 1))
 
 
-# Every file train and evaluate read, by its path under output_dir; `{val}` is the
+# Every file train and evaluate read, by its path under output_dir, and the commands that
+# read it (fcm also reads the preprocessed images and their manifest); `{val}` is the
 # validation image's path without `.pgm`, `sha` the key its run record checks.
 READ_FILES = {
-    "manifest": ("preprocessed/manifest.csv", ("train", "evaluate")),
-    "image": ("preprocessed/{val}.pgm", ("train", "evaluate")),
+    "manifest": ("preprocessed/manifest.csv", ("fcm", "train", "evaluate")),
+    "image": ("preprocessed/{val}.pgm", ("fcm", "train", "evaluate")),
     "label map": ("fcm/{val}_labels.pgm", ("train", "evaluate")),
     "fcm record": ("runrecord_fcm.txt", ("train", "evaluate")),
     "train record": ("runrecord_train.txt", ("evaluate",)),
@@ -1005,10 +1006,12 @@ FAULTS = [
     *(("fcm record", *case) for case in _record_corruptions(b"images_sha256")),
     *(("train record", *case) for case in _record_corruptions(b"split_sha256")),
 ]
+# fcm segments an image of any size, so a 31 px wide one is no fault there
+SIZE_AGNOSTIC = {("fcm", "image", "width 31")}
 
 
 @pytest.mark.parametrize("command,name,case,spoil,code", [
-    (command, name, case, spoil, code)
+    (command, name, case, spoil, 0 if (command, name, case) in SIZE_AGNOSTIC else code)
     for name, case, spoil, code in FAULTS for command in READ_FILES[name][1]
 ], ids=[f"{command}-{name}-{case}" for name, case, _, _ in FAULTS for command in READ_FILES[name][1]])
 def test_train_and_evaluate_on_a_damaged_input_exit_with_one_line_naming_it(

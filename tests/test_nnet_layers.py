@@ -550,7 +550,12 @@ def test_param_count_matches_layer_instances():
         (Dropout(0.5), LayerSpec("dropout")),
     ]
     for layer, spec in pairs:
-        assert layer.param_count() == param_count(spec)
+        assert sum(p.size for p in layer.parameters()) == param_count(spec)
+
+
+def test_a_layer_built_without_an_rng_holds_zero_weights():
+    assert np.array_equal(Conv2d(3, 4, 3).w, np.zeros((4, 3, 3, 3)))
+    assert np.array_equal(Dense(4, 2).w, np.zeros((2, 4)))
 
 
 def test_param_count_unknown_kind():

@@ -24,6 +24,7 @@ from deepbrainnet.nnet import (
     softmax,
     softmax_cross_entropy,
 )
+from deepbrainnet.nnet import layers as layers_module
 from deepbrainnet.nnet import network as network_module
 from deepbrainnet.rng import Prng
 
@@ -63,8 +64,9 @@ def test_total_params_match_spec_formulas():
         + param_count(LayerSpec("ds_block", kernel=3, c_in=c, c_out=2 * c))
         + param_count(LayerSpec("dense", features_in=3 * c, features_out=4))
     )
-    assert net.param_count() == expected
-    assert net.param_count() < 100_000
+    total = sum(p.size for p in net.parameters())
+    assert total == expected == net.flat_params.size
+    assert total < 100_000
 
 
 def test_build_rejects_small_input_or_few_classes():
@@ -415,14 +417,42 @@ def test_a_replica_shares_the_parameters_and_owns_its_gradients_but_no_caches():
     for (name, p, g), (_, rp, rg) in zip(net.named_parameters(), replica.named_parameters(), strict=True):
         assert np.shares_memory(rp, p) and rp.shape == p.shape, name
         assert np.shares_memory(rg, replica.flat_grads) and not np.shares_memory(rg, net.flat_grads), name
-    assert replica.branch_a[0]._planes_to == (replica.branch_b[0].depthwise,)
+    _assert_wired(replica)
     assert _holds_no_caches(replica)
     assert net.branch_a[0]._cache is not None and net.dropout._mask is not None
+
+
+def _assert_wired(net):
+    """The constructor's wiring: neither input convolution computes an input gradient,
+    and the stem hands its planes to the network's own branch B depthwise conv."""
+    assert net.branch_a[0].input_grad is False and net.branch_b[0].depthwise.input_grad is False
+    assert net.branch_a[0]._planes_to == (net.branch_b[0].depthwise,)
+
+
+def _no_kaiming(*args):
+    raise AssertionError("drew Kaiming weights")
 
 
 def _holds_no_caches(net) -> bool:
     return all(getattr(layer, name, None) is None
                for layer in net.iter_layers() for name in ("_cache", "_mask", "_handed"))
+
+
+def test_replicas_draw_no_weights_and_return_the_bits_of_one_worker(monkeypatch):
+    """A replica is built without an rng and then views the network's parameters, so with
+    Kaiming draws made to fail, `predict` and `train_step` still run on two workers and
+    give the rows, loss, probabilities and gradients of a one-worker run."""
+    _one_image_chunks(monkeypatch, 32)
+    pin_workers(monkeypatch, 1)
+    x, labels = _uint8_view(98, 5, 32), np.arange(5) % 4
+    reference = _outcomes(build_deepbrainnet_mini(32, 4, seed=97, dtype=np.float32), x, labels, 99)
+    net = build_deepbrainnet_mini(32, 4, seed=97, dtype=np.float32)
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(layers_module, "_kaiming", _no_kaiming)
+    _assert_wired(net._replica())
+    for k, (a, b) in enumerate(zip(_outcomes(net, x, labels, 99), reference, strict=True)):
+        assert np.array_equal(a, b), k
+    assert [len(net._replicas[keep]) for keep in (False, True)] == [2, 2]
 
 
 def _one_image_chunks(monkeypatch, size):
@@ -671,6 +701,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.dropout.rate == pytest.approx(0.25)
     for original, restored in zip(net.parameters(), loaded.parameters()):
         assert np.array_equal(restored, original.astype("<f4").astype(np.float64))
+    _assert_wired(loaded)
+
+
+def test_a_loaded_network_draws_no_weights_and_holds_the_saved_ones(tmp_path, monkeypatch):
+    """Loading builds the network without an rng and fills it from the payload: with
+    Kaiming draws made to fail it still returns the saved float32 parameters."""
+    net = build_deepbrainnet_mini(32, 4, seed=26, dtype=np.float32)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+    monkeypatch.setattr(layers_module, "_kaiming", _no_kaiming)
+    loaded = load_checkpoint(path)
+    assert loaded.dtype == np.float32 and np.array_equal(loaded.flat_params, net.flat_params)
+    assert not loaded.flat_grads.any()
 
 
 def test_checkpoint_resave_is_byte_identical(tmp_path):
