@@ -80,29 +80,24 @@ def _distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def compute_memberships(points, centroids, m: float) -> np.ndarray:
-    """Membership matrix for fixed centroids; every row sums to 1."""
+    """Membership matrix for fixed centroids; every row sums to 1.
+
+    A point on one or more centroids belongs to those alone, in equal shares.
+    """
     if m <= 1:
         raise ValueError("fuzzifier must be > 1")
     x = _as_points(points)
     v = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
     dist = _distances(x, v)
-    n, c = dist.shape
+    zero = dist == 0.0
     b = -1.0 / (m - 1.0)
-
-    u = np.empty((n, c))
-    zero_mask = dist == 0.0
-    has_zero = zero_mask.any(axis=1)
-    if has_zero.any():
-        rows = np.nonzero(has_zero)[0]
-        counts = zero_mask[rows].sum(axis=1)
-        u[rows] = zero_mask[rows] / counts[:, None]
-    regular = ~has_zero
-    if regular.any():
-        d = dist[regular]
-        # squared-distance powers: (d^2)^b == d^(2b); normalizing by the row
-        # minimum keeps every base >= 1 so negative exponents cannot overflow
-        weights = (d / d.min(axis=1, keepdims=True)) ** (2.0 * b)
-        u[regular] = weights / weights.sum(axis=1, keepdims=True)
+    # squared-distance powers: (d^2)^b == d^(2b); normalizing by the row
+    # minimum keeps every base >= 1 so negative exponents cannot overflow.
+    # A row on a centroid divides by zero here and takes its zero mask instead.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (dist / dist.min(axis=1, keepdims=True)) ** (2.0 * b)
+    u = np.where(zero.any(axis=1, keepdims=True), zero, u)
+    u /= u.sum(axis=1, keepdims=True)
     u /= u.sum(axis=1, keepdims=True)  # absorb rounding
     return u
 

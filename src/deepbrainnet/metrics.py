@@ -82,29 +82,29 @@ def confusion_matrix(y_true, y_pred, n_classes: int, class_names=None) -> Confus
     return ConfusionMatrix(counts, names)
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+def _rates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F1 of every class; any 0/0 reads 0."""
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+    tp = np.diag(counts).astype(np.float64)
+    precision = ratio(tp, counts.sum(axis=0))
+    recall = ratio(tp, counts.sum(axis=1))
+    return precision, recall, ratio(2.0 * precision * recall, precision + recall)
 
 
 def class_metrics(cm: ConfusionMatrix) -> list[ClassMetrics]:
-    out = []
-    counts = cm.counts
-    for j, name in enumerate(cm.class_names):
-        tp = float(counts[j, j])
-        fp = float(counts[:, j].sum() - counts[j, j])
-        fn = float(counts[j, :].sum() - counts[j, j])
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        f1 = _safe_div(2.0 * precision * recall, precision + recall)
-        out.append(ClassMetrics(name, precision, recall, f1, int(counts[j, :].sum())))
-    return out
+    rates = (rate.tolist() for rate in _rates(cm.counts))
+    return list(map(ClassMetrics, cm.class_names, *rates, cm.supports().tolist()))
 
 
 def roc_curve(scores, y_true, positive_class: int) -> RocCurve:
     """One-vs-rest ROC for one class over a descending distinct-score sweep.
 
     The curve starts at (0, 0) (threshold above every score) and ends at
-    (1, 1); samples sharing a score enter in one step.
+    (1, 1). Its points are the cumulative counts at the last sample of each
+    run of equal scores, so samples sharing a score enter in one step.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
@@ -117,26 +117,13 @@ def roc_curve(scores, y_true, positive_class: int) -> RocCurve:
             f"class {positive_class} has {n_pos} positives and {n_neg} negatives; ROC undefined"
         )
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = y[order]
-
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j
-    fpr_arr = np.array(fpr)
-    tpr_arr = np.array(tpr)
-    return RocCurve(fpr_arr, tpr_arr, auc_trapezoid(fpr_arr, tpr_arr))
+    s = scores[order]
+    last = np.append(s[1:] != s[:-1], True)
+    tp = np.cumsum(y[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    fpr = np.append(0.0, fp / n_neg)
+    tpr = np.append(0.0, tp / n_pos)
+    return RocCurve(fpr, tpr, auc_trapezoid(fpr, tpr))
 
 
 def auc_trapezoid(fpr, tpr) -> float:
@@ -161,14 +148,11 @@ def classification_report(y_true, scores, class_names=None) -> Report:
     total = cm.total
     if total == 0:
         raise ValueError("cannot report over zero samples")
-    per_class = class_metrics(cm)
-    precisions = np.array([m.precision for m in per_class])
-    recalls = np.array([m.recall for m in per_class])
-    f1s = np.array([m.f1 for m in per_class])
+    precisions, recalls, f1s = _rates(cm.counts)
     weights = cm.supports() / total
     return Report(
         confusion=cm,
-        per_class=tuple(per_class),
+        per_class=tuple(class_metrics(cm)),
         accuracy=float(np.trace(cm.counts)) / total,
         macro_precision=float(precisions.mean()),
         macro_recall=float(recalls.mean()),

@@ -13,9 +13,10 @@ Layout (all integers little-endian):
     then          every parameter as f32, flattened C-order, in declaration order
 
 The file holds exactly the float32 model that `train` computed with, and
-loading constructs a float32 network from the header values and fills its
-parameters from the payload, so a reloaded model predicts as the one that
-was saved. A float64 network is rounded to float32 when saved.
+loading constructs a float32 network from the header values, requires the
+file's header and shape table to be that network's own byte for byte, and
+fills its parameters from the payload, so a reloaded model predicts as the
+one that was saved. A float64 network is rounded to float32 when saved.
 Loading rejects a parameter value that is NaN or infinite. A sidecar CSV
 (same path + ".layers.csv") lists layer names, kinds, parameter names, and
 shapes for inspection.
@@ -56,11 +57,11 @@ def _param_records(network: Network):
     ]
 
 
-def save_checkpoint(network: Network, path) -> None:
+def _layout(network: Network) -> bytes:
+    """Magic, header and shape table of `network`'s checkpoint: every byte before the payload."""
     records = _param_records(network)
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack(
+    layout = bytearray(MAGIC)
+    layout += struct.pack(
         "<IIIIfI",
         VERSION,
         network.input_size,
@@ -70,12 +71,14 @@ def save_checkpoint(network: Network, path) -> None:
         len(records),
     )
     for _, kind, _, param in records:
-        header += struct.pack("<BB", _KIND_CODES[kind], param.ndim)
-        header += struct.pack(f"<{param.ndim}I", *param.shape)
-    write_atomic(path, bytes(header) + network.flat_params.astype("<f4").tobytes())
+        layout += struct.pack(f"<BB{param.ndim}I", _KIND_CODES[kind], param.ndim, *param.shape)
+    return bytes(layout)
 
+
+def save_checkpoint(network: Network, path) -> None:
+    write_atomic(path, _layout(network) + network.flat_params.astype("<f4").tobytes())
     lines = ["index,layer,kind,param,shape"]
-    for i, (name, kind, pname, param) in enumerate(records):
+    for i, (name, kind, pname, param) in enumerate(_param_records(network)):
         shape = "x".join(str(d) for d in param.shape)
         lines.append(f"{i},{name},{kind},{pname},{shape}")
     write_atomic(f"{path}.layers.csv", "\n".join(lines) + "\n")
@@ -107,18 +110,19 @@ def load_checkpoint(path) -> Network:
 
     shapes = []
     for _ in range(n_arrays):
-        kind_code, ndim = struct.unpack_from("<BB", blob, take(2, "shape table"))
-        dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, "shape table"))
-        shapes.append((kind_code, dims))
+        _, ndim = struct.unpack_from("<BB", blob, take(2, "shape table"))
+        shapes.append(struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, "shape table")))
     # the header sizes the network, so it must agree with the table (the first
     # array is the stem weight, the last the dense bias) and the table with the
-    # file length before anything is built
-    if not shapes or shapes[0][1][:1] != (base_channels,) or shapes[-1][1] != (n_classes,):
-        raise CheckpointError(
-            f"header of {path!r} ({n_classes} classes, {base_channels} base channels) "
-            "disagrees with its shape table"
-        )
-    payload = take(4 * sum(math.prod(dims) for _, dims in shapes), "payload")
+    # file length before anything is built; once built, the network's own
+    # layout must match the file's byte for byte
+    mismatch = (
+        f"header of {path!r} ({n_classes} classes, {base_channels} base channels) "
+        "disagrees with its shape table"
+    )
+    if not shapes or shapes[0][:1] != (base_channels,) or shapes[-1] != (n_classes,):
+        raise CheckpointError(mismatch)
+    payload = take(4 * sum(map(math.prod, shapes)), "payload")
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes in {path!r}")
 
@@ -126,19 +130,10 @@ def load_checkpoint(path) -> Network:
         network = Network(input_size, n_classes, base_channels, dropout_rate, np.float32)
     except ValueError as exc:  # a header value the network cannot take
         raise CheckpointError(f"bad header in {path!r}: {exc}") from exc
-    records = _param_records(network)
-    if len(records) != n_arrays:
-        raise CheckpointError(
-            f"checkpoint {path!r} lists {n_arrays} parameter arrays, network has {len(records)}"
-        )
-    for (name, kind, pname, param), (kind_code, dims) in zip(records, shapes):
-        if _KIND_CODES[kind] != kind_code or tuple(param.shape) != dims:
-            raise CheckpointError(
-                f"layer table mismatch in {path!r} at {name}.{pname}: "
-                f"expected {kind}{tuple(param.shape)}, found code {kind_code} dims {dims}"
-            )
+    if blob[:payload] != _layout(network):
+        raise CheckpointError(mismatch)
     network.flat_params[...] = np.frombuffer(blob, "<f4", network.flat_params.size, payload)
-    for name, _, pname, param in records:
+    for name, _, pname, param in _param_records(network):
         if not np.isfinite(param).all():
             raise CheckpointError(f"non-finite value in {name}.{pname} of {path!r}")
     return network

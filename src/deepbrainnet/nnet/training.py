@@ -135,8 +135,7 @@ def train(
     lr = config.learning_rate
     best_val = np.inf
     best_weights = network.flat_params.copy()
-    stale_stop = 0
-    stale_lr = 0
+    stale = 0  # epochs since the last strict improvement
     n = train_x.shape[0]
 
     for epoch in range(1, config.epochs + 1):
@@ -174,15 +173,12 @@ def train(
             best_val = val_loss
             best_weights = network.flat_params.copy()
             history.best_epoch = epoch
-            stale_stop = 0
-            stale_lr = 0
+            stale = 0
         else:
-            stale_stop += 1
-            stale_lr += 1
-            if stale_lr >= config.lr_reduce_patience:
+            stale += 1
+            if stale % config.lr_reduce_patience == 0:
                 lr *= config.lr_reduce_factor
-                stale_lr = 0
-            if stale_stop >= config.early_stop_patience:
+            if stale >= config.early_stop_patience:
                 break
 
     network.flat_params[...] = best_weights

@@ -358,6 +358,19 @@ def test_bad_config_is_usage_error(tmp_path, capsys, command, key, value, name):
     assert not out_dir.exists() and not (tmp_path / "dataset").exists()
 
 
+@pytest.mark.parametrize("line,fragment", [
+    ("augment_enabled = maybe", "bad value for augment_enabled: not a boolean: 'maybe'"),
+    ("epochs 4", "expected 'key = value', got 'epochs 4'"),
+], ids=["not a boolean", "no equals sign"])
+def test_a_bad_config_line_is_one_config_error_naming_its_line(tmp_path, capsys, line, fragment):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"epochs = 1\n{line}\n")
+    assert run("train", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}:2: {fragment}\n"
+    assert "Traceback" not in captured.out
+
+
 def test_zero_base_channels_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", base_channels=0)
     assert run("train", "--config", cfg) == 1
@@ -910,6 +923,15 @@ def _directory(path):
     path.mkdir()
 
 
+def _middle_kind_code(blob):
+    """The middle shape-table record's kind code changed to another kind's."""
+    pos = 32  # magic and fixed header
+    for _ in range(struct.unpack_from("<I", blob, 28)[0] // 2):
+        pos += 2 + 4 * blob[pos + 1]
+    code = 1 if blob[pos] != 1 else 4
+    return blob[:pos] + bytes([code]) + blob[pos + 1:]
+
+
 # (case, how the saved 32 px checkpoint is spoiled, a fragment of the message)
 BAD_CHECKPOINTS = [
     ("empty", _rewritten(lambda blob: b""), "bad magic"),
@@ -920,6 +942,8 @@ BAD_CHECKPOINTS = [
     ("dropout nan", _header_value(24, "<f", math.nan), "dropout rate must be in [0, 1), got nan"),
     # no weight depends on the input size, so these are the bytes of seed 0's 48 px checkpoint
     ("48 px in a 32 px run", _header_value(12, "<I", 48), "input_size 48, but image_size is 32"),
+    ("version 2", _header_value(8, "<I", 2), "unsupported checkpoint version 2"),
+    ("kind code of a middle record", _rewritten(_middle_kind_code), "disagrees with its shape table"),
     ("directory", _directory, "Is a directory"),
 ]
 

@@ -58,10 +58,22 @@ def test_header_comments_are_skipped(tmp_path):
     assert image.data.ravel().tolist() == [9, 8]
 
 
-def test_zero_dimension_is_rejected(tmp_path):
+@pytest.mark.parametrize("blob,message", [
+    (b"P5 0 4 255 ", "zero width at byte 3"),
+    (b"P5 4 0 255 ", "zero height at byte 5"),
+], ids=["width", "height"])
+def test_zero_dimension_is_rejected(tmp_path, blob, message):
     path = tmp_path / "a.pgm"
-    path.write_bytes(b"P5 0 4 255 ")
-    with pytest.raises(MalformedHeaderError, match="byte 3"):
+    path.write_bytes(blob)
+    with pytest.raises(MalformedHeaderError, match=f"^{message}$"):
+        load_pgm(path)
+
+
+@pytest.mark.parametrize("blob", [b"P5 1 1 255", b"P5 1 1 255#\n\x07"], ids=["end of file", "comment"])
+def test_p5_raster_needs_its_separator(tmp_path, blob):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedHeaderError, match="^missing raster separator at byte 10$"):
         load_pgm(path)
 
 
@@ -72,9 +84,13 @@ def test_large_maxval_is_rejected(tmp_path):
         load_pgm(path)
 
 
-def test_p5_sample_above_maxval_is_rejected(tmp_path):
+@pytest.mark.parametrize("blob", [
+    b"P5\n2 2\n100\n" + bytes([7, 100, 200, 255]),
+    b"P2 2 2 100 7 200 100 9",
+], ids=["P5", "P2"])
+def test_sample_above_maxval_is_rejected(tmp_path, blob):
     path = tmp_path / "a.pgm"
-    path.write_bytes(b"P5\n2 2\n100\n" + bytes([7, 100, 200, 255]))
+    path.write_bytes(blob)
     with pytest.raises(PgmError, match=r"^sample 200 exceeds maxval 100 at byte 13$"):
         load_pgm(path)
 
@@ -87,10 +103,14 @@ def test_truncated_raster_is_rejected(tmp_path):
     assert str(caught.value).endswith("file holds 2")
 
 
-def test_p2_truncated_samples(tmp_path):
+@pytest.mark.parametrize("blob,message", [
+    (b"P2 2 2 255 1 2 3", "raster needs 4 samples"),
+    (b"P2 2 2 255 1 2 3    ", "raster needs 4 samples, got 3: unexpected end of header"),
+], ids=["short file", "cut between samples"])
+def test_p2_truncated_samples(tmp_path, blob, message):
     path = tmp_path / "a.pgm"
-    path.write_bytes(b"P2 2 2 255 1 2 3")
-    with pytest.raises(TruncatedPayloadError):
+    path.write_bytes(blob)
+    with pytest.raises(TruncatedPayloadError, match=message):
         load_pgm(path)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,13 @@ def test_coincident_point_is_crisp():
 
 
 def test_point_on_two_centroids_splits_mass():
-    u = compute_memberships(np.array([[1.0]]), np.array([[1.0], [1.0], [5.0]]), 2.0)
+    """Rows on centroids and an ordinary row in one call, without a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compute_memberships(np.array([[1.0], [3.0], [5.0]]), np.array([[1.0], [1.0], [5.0]]), 2.0)
     assert u[0].tolist() == [0.5, 0.5, 0.0]
+    assert u[1].tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+    assert u[2].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_rows_sum_to_one_property():

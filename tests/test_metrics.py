@@ -1,4 +1,5 @@
 import signal
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -82,7 +83,9 @@ def test_binary_case_evaluates_ratio_formulas():
 
 def test_absent_class_gets_zero_convention():
     cm = confusion_matrix([0, 0, 1], [0, 0, 1], 3)
-    metrics = class_metrics(cm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics = class_metrics(cm)
     assert (metrics[2].precision, metrics[2].recall, metrics[2].f1) == (0.0, 0.0, 0.0)
     assert metrics[2].support == 0
 
@@ -189,8 +192,9 @@ def test_textbook_four_sample_case():
     assert curve.auc == pytest.approx(pairwise_rank_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], 1))
 
 
-def test_all_tied_scores_give_chance_level():
-    curve = roc_curve([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1], 1)
+@pytest.mark.parametrize("scores", [[0.5, 0.5, 0.5, 0.5], [0.0, -0.0, -0.0, 0.0]], ids=["0.5", "signed zeros"])
+def test_all_tied_scores_give_chance_level(scores):
+    curve = roc_curve(scores, [0, 1, 0, 1], 1)
     assert curve.auc == pytest.approx(0.5)
     assert len(curve.fpr) == 2  # one step: (0,0) then (1,1)
 

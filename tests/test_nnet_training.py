@@ -16,6 +16,7 @@ from deepbrainnet.nnet import (
     train,
 )
 from deepbrainnet.nnet import network as network_module
+from deepbrainnet.nnet import training as training_module
 from deepbrainnet.rng import Prng
 
 
@@ -101,6 +102,20 @@ def test_early_stopping_halts_before_epoch_budget():
     config = small_config(epochs=30, learning_rate=0.0, early_stop_patience=3)
     history = train(net, train_set, val_set, config)
     assert len(history) == 1 + 3  # first epoch sets the best, then 3 stale
+
+
+def test_validation_losses_drive_the_rate_halvings_the_best_epoch_and_the_stop(monkeypatch):
+    """A fixed sequence of validation losses: each run of lr_reduce_patience epochs
+    without a strict improvement halves the rate, and early_stop_patience of them stop."""
+    losses = iter([1.0, 0.9, 0.95, 0.95, 0.95, 0.8, 0.8, 0.9, 0.9, 0.9, 0.9, 0.1])
+    monkeypatch.setattr(training_module, "evaluate_loss", lambda *args: (next(losses), 0.5))
+    train_set, val_set = build_and_split()
+    net = build_deepbrainnet_mini(16, 3, seed=7, base_channels=4)
+    config = small_config(epochs=20, learning_rate=1e-3, lr_reduce_patience=2, early_stop_patience=5)
+    history = train(net, train_set, val_set, config)
+    halvings = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 3]
+    assert history.lr == [1e-3 * 0.5**k for k in halvings]
+    assert history.best_epoch == 6 and len(history) == 11
 
 
 def test_loss_windows_mostly_non_increasing():
