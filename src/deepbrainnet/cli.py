@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import sys
@@ -500,7 +501,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt(3) parameter numbers, and the thresholds the CLI fixes; 32 MiB is the
+# largest mmap threshold glibc takes on a 64-bit system
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES, _TRIM_THRESHOLD_BYTES = 32 << 20, 128 << 20
+
+
+def _keep_freed_heap() -> None:
+    """On glibc, keep the memory this process frees for its next allocation.
+
+    Each training step and inference chunk frees its activations. With glibc's
+    defaults the large blocks are unmapped or trimmed back to the kernel, so the
+    next step faults in fresh zero pages. Fixed thresholds keep blocks up to
+    32 MiB on the heap and trim only above 128 MiB of free top. Only `main`
+    calls this, so a library caller keeps its own allocator settings. On
+    another libc it does nothing; a value glibc declines (mallopt returns 0)
+    leaves that setting as it was.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc without the name
+        return
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:

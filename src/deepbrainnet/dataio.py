@@ -89,6 +89,7 @@ class GrayImage:
 # ---------------------------------------------------------------------------
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_IS_WHITESPACE = np.isin(np.arange(256), np.frombuffer(_WHITESPACE, dtype=np.uint8))
 
 
 def _next_token(blob: bytes, pos: int) -> tuple[bytes, int, int]:
@@ -119,6 +120,41 @@ def _header_int(blob: bytes, pos: int, what: str) -> tuple[int, int, int]:
     if not token.isdigit():
         raise MalformedHeaderError(f"non-numeric {what} {token!r} at byte {start}")
     return int(token), start, end
+
+
+def _p2_samples(blob: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first `count` ASCII samples after byte `pos`, read as `_header_int` would
+    read them one at a time: whitespace-separated tokens, where a '#' outside a
+    comment starts one that runs to the next line break."""
+    raw = np.frombuffer(blob, dtype=np.uint8, offset=pos)
+    if b"#" in blob[pos:]:  # blank each comment: '#'s since the line's last break
+        hashes = np.cumsum(raw == ord("#"))
+        at_break = np.maximum.accumulate(np.where((raw == ord("\n")) | (raw == ord("\r")), hashes, 0))
+        raw = np.where(hashes > at_break, np.uint8(ord(" ")), raw)
+    space = _IS_WHITESPACE[raw]
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    starts, ends = edges[0::2][:count], edges[1::2][:count]  # token k is raw[starts[k]:ends[k]]
+    # prefix sums count a token's non-digit bytes and its digits above '0'
+    non_digit = np.concatenate(([0], np.cumsum((raw < ord("0")) | (raw > ord("9")))))
+    above_zero = np.concatenate(([0], np.cumsum(raw > ord("0"))))
+    numeric = non_digit[ends] == non_digit[starts]
+    values = np.zeros(len(starts), dtype=np.int64)
+    for place in (3, 2, 1):  # the last three digits; a nonzero one before them makes >= 1000
+        at = ends - place
+        values = values * 10 + np.where(at >= starts, raw[np.maximum(at, starts)].astype(np.int64) - ord("0"), 0)
+    over = (above_zero[np.maximum(ends - 3, starts)] > above_zero[starts]) | (values > maxval)
+    bad = ~numeric | over
+    if len(starts) == count and not bad.any():
+        return values.astype(np.uint8)
+    i = int(np.argmax(bad)) if bad.any() else len(starts)  # the first sample the loop would reject
+    if i == len(starts):
+        raise TruncatedPayloadError(
+            f"raster needs {count} samples, got {i}: unexpected end of header at byte {len(blob)}")
+    token, start = blob[pos + starts[i] : pos + ends[i]], pos + int(starts[i])
+    if not numeric[i]:
+        raise TruncatedPayloadError(
+            f"raster needs {count} samples, got {i}: non-numeric sample {token!r} at byte {start}")
+    raise PgmError(f"sample {int(token)} exceeds maxval {maxval} at byte {start}")
 
 
 def load_pgm(path) -> GrayImage:
@@ -167,18 +203,7 @@ def load_pgm(path) -> GrayImage:
                 f"raster needs {count} samples, at least {2 * count} bytes after byte {pos}; "
                 f"file ends at byte {len(blob)}"
             )
-        values = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            try:
-                value, vstart, pos = _header_int(blob, pos, "sample")
-            except MalformedHeaderError as exc:
-                raise TruncatedPayloadError(
-                    f"raster needs {count} samples, got {i}: {exc}"
-                ) from None
-            if value > maxval:
-                raise PgmError(f"sample {value} exceeds maxval {maxval} at byte {vstart}")
-            values[i] = value
-        data = values
+        data = _p2_samples(blob, pos, count, maxval)
     return GrayImage(width, height, data)
 
 

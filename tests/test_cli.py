@@ -1065,6 +1065,73 @@ def test_train_and_evaluate_on_a_damaged_input_exit_with_one_line_naming_it(
             k: v for k, v in before.items() if not k.startswith("out/")}
 
 
+def _unwritable(path):
+    path.mkdir()
+    path.chmod(0o555)
+    if os.access(path, os.W_OK):  # permission bits do not bind this user (root)
+        path.chmod(0o755)
+        pytest.skip("this user can write into a read-only directory")
+
+
+# synth's rows: (case, how the dataset root is spoiled before synth runs)
+SYNTH_FAULTS = [
+    ("a file", lambda path: path.write_bytes(b"not a directory\n")),
+    ("unwritable", _unwritable),
+    ("an image path is a directory", lambda path: (path / "blank" / "blank_000.pgm").mkdir(parents=True)),
+]
+
+
+@pytest.mark.parametrize("spoil", [case[1] for case in SYNTH_FAULTS], ids=[case[0] for case in SYNTH_FAULTS])
+def test_synth_into_a_bad_dataset_root_exits_2_with_one_line_naming_it(tmp_path, capsys, spoil):
+    root = tmp_path / "dataset"
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=root, output_dir=tmp_path / "out")
+    spoil(root)
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    try:
+        assert run("synth", "--config", cfg) == 2
+    finally:
+        if root.is_dir():
+            root.chmod(0o755)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: ") and str(root) in lines[0], lines
+    assert _tree_bytes(tmp_path) == before  # no image, no .tmp file and no run record
+
+
+# preprocess's rows: (case, how one dataset image is spoiled); one image of 16 is under
+# the 10 % failure threshold, so preprocess skips it with one line and exits 0
+PREPROCESS_FAULTS = [
+    ("empty", _rewritten(lambda blob: b"")),
+    ("truncated", _rewritten(lambda blob: blob[:-10])),
+    ("directory", _directory),
+    ("bad header", _rewritten(lambda blob: blob.replace(b"32 32", b"3x 32", 1))),
+    ("maxval 256", _rewritten(lambda blob: blob.replace(b"\n255\n", b"\n256\n", 1))),
+]
+
+
+@pytest.mark.parametrize("spoil", [case[1] for case in PREPROCESS_FAULTS],
+                         ids=[case[0] for case in PREPROCESS_FAULTS])
+def test_preprocess_skips_a_damaged_dataset_image_with_one_line_naming_it(workspace, capsys, spoil):
+    tmp_path, cfg = workspace
+    assert run("synth", "--config", cfg) == 0
+    victim = "ring/ring_002.pgm"
+    spoil(tmp_path / "dataset" / victim)
+    dataset = _tree_bytes(tmp_path / "dataset")
+    capsys.readouterr()
+    assert run("preprocess", "--config", cfg) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"preprocess: skipped {victim}: "), lines
+    assert _tree_bytes(tmp_path / "dataset") == dataset  # the earlier stage's files are untouched
+    listed = (tmp_path / "out" / "preprocessed" / "manifest.csv").read_text(encoding="utf-8")
+    assert len(listed.splitlines()) == 1 + 15 and victim not in listed
+    assert not (tmp_path / "out" / "preprocessed" / victim).exists()
+    assert sorted(os.listdir(tmp_path)) == ["dataset", "out", "run.cfg"]
+
+
 def test_evaluate_truncated_checkpoint_is_data_error(tmp_path, capsys):
     err = evaluate_corrupt_checkpoint(tmp_path, capsys, _rewritten(lambda blob: blob[:40]))
     assert err.startswith("data error: truncated checkpoint")

@@ -87,7 +87,8 @@ def test_large_maxval_is_rejected(tmp_path):
 @pytest.mark.parametrize("blob", [
     b"P5\n2 2\n100\n" + bytes([7, 100, 200, 255]),
     b"P2 2 2 100 7 200 100 9",
-], ids=["P5", "P2"])
+    b"P2 2 2 100 7 0200 100 9",
+], ids=["P5", "P2", "P2 leading zeros"])
 def test_sample_above_maxval_is_rejected(tmp_path, blob):
     path = tmp_path / "a.pgm"
     path.write_bytes(blob)
@@ -106,7 +107,9 @@ def test_truncated_raster_is_rejected(tmp_path):
 @pytest.mark.parametrize("blob,message", [
     (b"P2 2 2 255 1 2 3", "raster needs 4 samples"),
     (b"P2 2 2 255 1 2 3    ", "raster needs 4 samples, got 3: unexpected end of header"),
-], ids=["short file", "cut between samples"])
+    (b"P2 2 1 255 7#8 9\n", "raster needs 2 samples, got 1: unexpected end of header at byte 17$"),
+    (b"P2 2 1 255 7 # 8\n 1x", "raster needs 2 samples, got 1: non-numeric sample b'1x' at byte 18$"),
+], ids=["short file", "cut between samples", "cut by a comment", "non-numeric"])
 def test_p2_truncated_samples(tmp_path, blob, message):
     path = tmp_path / "a.pgm"
     path.write_bytes(blob)
@@ -125,6 +128,66 @@ def test_p2_huge_header_on_short_file_allocates_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_p2_twin_of_a_224_px_p5_file_decodes_to_its_pixels(tmp_path):
+    pixels = np.random.default_rng(3).integers(0, 256, (224, 224), dtype=np.uint8)
+    p5 = tmp_path / "a.pgm"
+    save_pgm(GrayImage(224, 224, pixels), p5)
+    rows = [b" ".join(b"%d" % v for v in row) for row in pixels]
+    rows[7] += b"# a comment 1 2 3"  # cut short at its line break, and no sample
+    p2 = tmp_path / "b.pgm"
+    p2.write_bytes(b"P2\n# made by hand\n224 224\n255\n" + b"\r\n\t".join(rows) + b"\n")
+    assert load_pgm(p2) == load_pgm(p5)
+    assert np.array_equal(load_pgm(p2).data, pixels)
+
+
+def _p2_samples_one_at_a_time(blob, pos, count, maxval):
+    """The P2 decoder as it first read samples: one `_header_int` call per sample."""
+    values = np.empty(count, dtype=np.uint8)
+    for i in range(count):
+        try:
+            value, vstart, pos = dataio._header_int(blob, pos, "sample")
+        except MalformedHeaderError as exc:
+            raise TruncatedPayloadError(f"raster needs {count} samples, got {i}: {exc}") from None
+        if value > maxval:
+            raise PgmError(f"sample {value} exceeds maxval {maxval} at byte {vstart}")
+        values[i] = value
+    return values
+
+
+def _decoded_or_error(decode, *args):
+    try:
+        return "pixels", decode(*args).tolist()
+    except PgmError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_p2_raster_decodes_as_one_sample_at_a_time_did():
+    """Random rasters with every whitespace byte, comments anywhere (inside a token, holding
+    '#', ended by CR or LF), leading zeros, long and foreign tokens, too few or too many
+    samples: the array decoder gives the loop's pixels, or its error type and message."""
+    rng = Prng(77)
+    pick = lambda options: options[rng.below(len(options))]  # noqa: E731
+    separators = [b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"  ", b"\r\n",
+                  b"#c\n", b"# 1 #2\r", b"#\n\n", b" #x 9"]
+    outcomes = set()
+    for _ in range(600):
+        count, maxval = 1 + rng.below(9), pick([1, 9, 100, 255])
+        tokens = [pick([b"%d" % rng.below(maxval + 1)] * 12 + [
+            b"00%d" % rng.below(maxval + 1), b"%d" % (maxval + 1 + rng.below(9000)),
+            b"0000%d" % (maxval + 1), b"1a", b"x", b"-3", b"\xff", b"12#c\n"])
+            for _ in range(max(0, count - 2 + rng.below(5)))]
+        raster = b"".join(pick(separators) + token for token in tokens) + pick([b"", b" ", b"#end"])
+        header = b"P2 %d 1 %d" % (count, maxval)
+        blob = header + raster
+        if len(raster) < 2 * count:  # load_pgm rejects these before decoding
+            continue
+        args = (blob, len(header), count, maxval)
+        expected = _decoded_or_error(_p2_samples_one_at_a_time, *args)
+        assert _decoded_or_error(dataio._p2_samples, *args) == expected, blob
+        outcomes.add(expected[0])
+    assert outcomes == {"pixels", "PgmError", "TruncatedPayloadError"}
 
 
 def test_bad_magic(tmp_path):

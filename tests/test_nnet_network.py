@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import runpy
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepbrainnet import parallel
+from deepbrainnet import cli, parallel
 from deepbrainnet.nnet import (
     CheckpointError,
     LayerSpec,
@@ -257,6 +259,69 @@ def test_a_train_step_peaks_where_its_forward_does(monkeypatch):
     forward = _peak_bytes(lambda: net.forward_logits(x, uniforms))
     step = _peak_bytes(lambda: net.train_step(x, labels, Prng(54)))
     assert step - forward < 256 * 1024, (step, forward)
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the CLI sets allocator thresholds on glibc only")
+def test_train_steps_reuse_their_pages_once_the_cli_has_set_the_heap_thresholds(monkeypatch):
+    """With the thresholds `cli.main` sets, ten warm 32 px batch-32 steps take their
+    activations from memory the earlier steps freed: fewer than 1,000 minor page
+    faults, where glibc's defaults hand those pages back and fault in about 10,000."""
+    import resource
+
+    pin_workers(monkeypatch, 1)
+    cli._keep_freed_heap()
+    net = build_deepbrainnet_mini(32, 4, seed=55, dtype=np.float32)
+    x, labels = _uint8_view(56, 32, 32), np.arange(32) % 4
+    rng = Prng(57)
+    for _ in range(3):
+        net.train_step(x, labels, rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        net.train_step(x, labels, rng)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
+
+
+LIBRARY_CALLER = """
+import ctypes
+lookups = []
+
+class Recording(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            lookups.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Recording
+import numpy as np
+import deepbrainnet
+import deepbrainnet.cli
+from deepbrainnet.nnet import build_deepbrainnet_mini, predict
+
+predict(build_deepbrainnet_mini(16, 4), np.zeros((2, 3, 16, 16)))
+library = len(lookups)
+deepbrainnet.cli.main(["report-demo"])
+print(library, len(lookups) - library)
+"""
+
+
+def test_a_library_caller_keeps_its_allocator():
+    """Importing deepbrainnet, and its CLI module, and predicting never reach mallopt;
+    only `cli.main` does, on glibc."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LIBRARY_CALLER], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    library, cli_main = map(int, done.stdout.split()[-2:])
+    assert (library, cli_main) == (0, 1 if _on_glibc() else 0), done.stdout
 
 
 @pytest.mark.parametrize("size", [32, 224])
