@@ -334,12 +334,10 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     summary_path = os.path.join(out_root, "summaries.csv")
     write_atomic(summary_path, "\n".join([header, *summaries]) + "\n")
     artifacts.append(summary_path)
-    line = f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}"
-    if iterations:  # a hand-written manifest may list no image
-        line += (f"; converged {converged}/{len(manifest)}, iterations median "
-                 f"{np.median(iterations):g} max {max(iterations)}, "
-                 f"gray levels median {np.median(level_counts):g}")
-    print(line)
+    print(f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}; "
+          f"converged {converged}/{len(manifest)}, iterations median "
+          f"{np.median(iterations):g} max {max(iterations)}, "
+          f"gray levels median {np.median(level_counts):g}")
     return artifacts, {"images_sha256": _images_sha256(manifest)}
 
 

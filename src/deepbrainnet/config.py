@@ -185,10 +185,12 @@ def _validate(config: RunConfig) -> None:
         (16 <= config.image_size <= 4096, "image_size must be in [16, 4096]"),
         (0 <= config.background_threshold < 255, "background_threshold must be in [0, 255)"),
         (config.blur_kernel >= 1 and config.blur_kernel % 2 == 1, "blur_kernel must be odd"),
+        (config.blur_kernel <= config.image_size, "blur_kernel must be <= image_size"),
         (config.clahe_tiles <= config.image_size, "clahe_tiles must be <= image_size"),
         (config.fcm_clusters <= 256, "fcm_clusters must be <= 256 (label maps are 8-bit)"),
         (0 <= config.dropout_rate < 1, "dropout_rate must be in [0, 1)"),
         (config.base_channels >= 1, "base_channels must be >= 1"),
+        (config.base_channels <= 256, "base_channels must be <= 256 (2.5 M weights)"),
         (config.synth_per_class >= 2, "synth_per_class must be >= 2"),
     ]
     for ok, message in checks:

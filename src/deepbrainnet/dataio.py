@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import PurePath
 
@@ -90,6 +91,11 @@ class GrayImage:
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _IS_WHITESPACE = np.isin(np.arange(256), np.frombuffer(_WHITESPACE, dtype=np.uint8))
+# The Netpbm token grammar: whitespace and '#' comments (up to the next line
+# break) separate tokens. No quantifier nests, so any header matches in linear time.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_TOKEN = re.compile(rb"(?:[%s]|%s)*([^%s#]*)" % (
+    re.escape(_WHITESPACE), _COMMENT.pattern, re.escape(_WHITESPACE)))
 
 
 def _next_token(blob: bytes, pos: int) -> tuple[bytes, int, int]:
@@ -97,22 +103,10 @@ def _next_token(blob: bytes, pos: int) -> tuple[bytes, int, int]:
 
     Returns (token, token_start_offset, offset_past_token).
     """
-    n = len(blob)
-    while pos < n:
-        ch = blob[pos : pos + 1]
-        if ch in _WHITESPACE:
-            pos += 1
-        elif ch == b"#":
-            while pos < n and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise MalformedHeaderError(f"unexpected end of header at byte {pos}")
-    start = pos
-    while pos < n and blob[pos : pos + 1] not in _WHITESPACE and blob[pos : pos + 1] != b"#":
-        pos += 1
-    return blob[start:pos], start, pos
+    match = _TOKEN.match(blob, pos)
+    if not match[1]:
+        raise MalformedHeaderError(f"unexpected end of header at byte {match.start(1)}")
+    return match[1], match.start(1), match.end(1)
 
 
 def _header_int(blob: bytes, pos: int, what: str) -> tuple[int, int, int]:
@@ -126,11 +120,10 @@ def _p2_samples(blob: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     """The first `count` ASCII samples after byte `pos`, read as `_header_int` would
     read them one at a time: whitespace-separated tokens, where a '#' outside a
     comment starts one that runs to the next line break."""
-    raw = np.frombuffer(blob, dtype=np.uint8, offset=pos)
-    if b"#" in blob[pos:]:  # blank each comment: '#'s since the line's last break
-        hashes = np.cumsum(raw == ord("#"))
-        at_break = np.maximum.accumulate(np.where((raw == ord("\n")) | (raw == ord("\r")), hashes, 0))
-        raw = np.where(hashes > at_break, np.uint8(ord(" ")), raw)
+    raster = blob[pos:]
+    if b"#" in raster:  # blank each comment, keeping every offset
+        raster = _COMMENT.sub(lambda m: b" " * len(m[0]), raster)
+    raw = np.frombuffer(raster, dtype=np.uint8)
     space = _IS_WHITESPACE[raw]
     edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
     starts, ends = edges[0::2][:count], edges[1::2][:count]  # token k is raw[starts[k]:ends[k]]

@@ -178,16 +178,10 @@ def box_blur(image: GrayImage, m: int, n: int) -> GrayImage:
     return GrayImage(image.width, image.height, _round_u8(total / (m * n)))
 
 
-def equalization_map(image: GrayImage) -> np.ndarray:
-    """The 256-entry intensity mapping r -> round(255 * cdf(r))."""
-    hist = np.bincount(image.data.ravel(), minlength=256)
-    cdf = np.cumsum(hist)
-    return _round_u8(255.0 * cdf / image.data.size)
-
-
 def equalize_histogram(image: GrayImage) -> GrayImage:
-    """Global histogram equalization via the scaled cumulative distribution."""
-    return GrayImage(image.width, image.height, equalization_map(image)[image.data])
+    """Global histogram equalization, r -> round(255 * cdf(r)): CLAHE's one-tile,
+    unclipped case."""
+    return clahe(image, ClaheParams(1, 1, math.inf))
 
 
 def clahe(image: GrayImage, params: ClaheParams) -> GrayImage:

@@ -329,6 +329,8 @@ BAD_SETTINGS = [
     ("fcm", "fcm_clusters", 300, "fcm_clusters"),
     ("preprocess", "background_threshold", 300, "background_threshold"),
     ("preprocess", "clahe_tiles", 64, "clahe_tiles"),
+    ("preprocess", "blur_kernel", 200001, "blur_kernel"),
+    ("train", "base_channels", 1000000, "base_channels"),
     ("train", "early_stop_patience", 0, "early_stop_patience"),
     ("train", "lr_reduce_patience", 0, "lr_reduce_patience"),
     ("train", "augment_rotation", -5, "rotation_range"),

@@ -142,14 +142,62 @@ def test_p2_twin_of_a_224_px_p5_file_decodes_to_its_pixels(tmp_path):
     assert np.array_equal(load_pgm(p2).data, pixels)
 
 
+def _next_token_byte_by_byte(blob, pos):
+    """The header scanner as it was first written, one byte per loop pass."""
+    n = len(blob)
+    while pos < n:
+        ch = blob[pos : pos + 1]
+        if ch in b" \t\r\n\x0b\x0c":
+            pos += 1
+        elif ch == b"#":
+            while pos < n and blob[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise MalformedHeaderError(f"unexpected end of header at byte {pos}")
+    start = pos
+    while pos < n and blob[pos : pos + 1] not in b" \t\r\n\x0b\x0c#":
+        pos += 1
+    return blob[start:pos], start, pos
+
+
+def _token_or_error(scan, blob, pos):
+    try:
+        return scan(blob, pos)
+    except MalformedHeaderError as exc:
+        return str(exc)
+
+
+def test_header_tokens_are_read_as_the_byte_by_byte_scanner_read_them():
+    """Random short blobs over whitespace, '#', letters and digits, each read from a random
+    start: the pattern gives the scanner's token and offsets, or its error message."""
+    rng = np.random.default_rng(32)
+    alphabet = np.frombuffer(b" \t\r\n\x0b\x0c#ab12", dtype=np.uint8)
+    lengths = rng.integers(0, 12, 100_000)
+    letters = alphabet[rng.integers(0, len(alphabet), int(lengths.sum()))].tobytes()
+    cuts = np.concatenate(([0], np.cumsum(lengths)))
+    outcomes = set()
+    for length, cut in zip(lengths.tolist(), cuts.tolist()):
+        blob, pos = letters[cut : cut + length], int(rng.integers(0, length + 1))
+        expected = _token_or_error(_next_token_byte_by_byte, blob, pos)
+        assert _token_or_error(dataio._next_token, blob, pos) == expected, (blob, pos)
+        outcomes.add(type(expected))
+    assert outcomes == {tuple, str}
+
+
 def _p2_samples_one_at_a_time(blob, pos, count, maxval):
-    """The P2 decoder as it first read samples: one `_header_int` call per sample."""
+    """The P2 decoder as it first read samples: one header token per sample."""
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         try:
-            value, vstart, pos = dataio._header_int(blob, pos, "sample")
+            token, vstart, pos = _next_token_byte_by_byte(blob, pos)
         except MalformedHeaderError as exc:
             raise TruncatedPayloadError(f"raster needs {count} samples, got {i}: {exc}") from None
+        if not token.isdigit():
+            raise TruncatedPayloadError(
+                f"raster needs {count} samples, got {i}: non-numeric sample {token!r} at byte {vstart}")
+        value = int(token)
         if value > maxval:
             raise PgmError(f"sample {value} exceeds maxval {maxval} at byte {vstart}")
         values[i] = value

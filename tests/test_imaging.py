@@ -274,11 +274,14 @@ def test_equalize_idempotent_within_one_level():
 
 
 def test_clahe_limiting_case_equals_global_equalization():
+    """One unclipped tile maps each level r to the scaled CDF, round(255 * cdf(r) / n)."""
     rng = Prng(41)
     params = ClaheParams(tiles_x=1, tiles_y=1, clip_limit=float("inf"))
     for _ in range(10):
         image = random_image(rng, 9, 13)
-        assert clahe(image, params) == equalize_histogram(image)
+        cdf = np.cumsum(np.bincount(image.data.ravel(), minlength=256))
+        scaled = np.floor(255.0 * cdf / image.data.size + 0.5).astype(np.uint8)
+        assert np.array_equal(clahe(image, params).data, scaled[image.data])
 
 
 def reference_clahe(image: GrayImage, params: ClaheParams) -> np.ndarray:

@@ -862,17 +862,6 @@ def test_checkpoint_format_is_pinned(tmp_path):
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)
 
 
-def test_step_split_tool_times_every_named_layer(capsys):
-    """tools/step_split.py (benchmark helper) runs and reports each layer's two passes."""
-    tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "step_split.py"))
-    assert tool["main"](["--size", "16", "--batch", "2", "--steps", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    net = build_deepbrainnet_mini(16, 4)
-    for name, _ in net.named_layers():
-        assert report[f"{name}.forward"] >= 0.0 and report[f"{name}.backward"] >= 0.0
-    assert report["step_s"] > 0.0
-
-
 def test_chunk_sweep_tool_times_each_chunk_size_and_restores_the_budget(capsys):
     """tools/chunk_sweep.py (benchmark helper) reports both timings per chunk size."""
     tool = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "chunk_sweep.py"))
