@@ -18,6 +18,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .dataio import (
     GrayImage,
     PgmError,
     SplitSpec,
+    collecting_writes,
     generate_synthetic_dataset,
     load_pgm,
     manifest_from_csv,
@@ -205,47 +207,40 @@ def _load_tensors(config: RunConfig, manifest: DatasetManifest):
     return planes, _to_tensor(planes), labels
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_run_record(config: RunConfig, command: str, seconds: float, record: dict[str, str],
-                      artifacts: list[str]) -> None:
+                      written: dict[str, str]) -> None:
     """Plain-text key: value record: the total seconds, the command's own lines, the
-    config, and a digest per artifact."""
+    config, and the digest of each file the command wrote (`written`, path to digest)."""
     lines = [f"command: {command}", f"tool_version: {__version__}", f"duration_s.total: {seconds:.3f}"]
     lines += [f"{key}: {value}" for key, value in record.items()]
-    for line in config.to_text().splitlines():
-        key, _, value = line.partition(" = ")
-        lines.append(f"config.{key}: {value}")
-    for path in sorted(artifacts):
-        rel = os.path.relpath(path, config.output_dir)
-        lines.append(f"artifact: {_sha256(path)}  {rel}")
-    os.makedirs(config.output_dir, exist_ok=True)
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"config.{f.name}: {value}")
+    lines += [f"artifact: {written[path]}  {os.path.relpath(path, config.output_dir)}"
+              for path in sorted(written)]
     write_atomic(os.path.join(config.output_dir, f"runrecord_{command}.txt"), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns the artifacts it wrote and its own run-record
-# lines; main times it and writes the run record
+# Commands: each returns its own run-record lines; main times it, collects
+# what it wrote through write_atomic and writes the run record
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(config: RunConfig) -> tuple[list[str], dict[str, str]]:
+def cmd_synth(config: RunConfig) -> dict[str, str]:
     manifest = generate_synthetic_dataset(
         config.dataset_root,
         config.synth_per_class,
         config.image_size,
         stage_seed(config.seed, "synth"),
     )
-    artifacts = [manifest.full_path(rel) for rel, _ in manifest.entries]
     print(f"synth: wrote {len(manifest)} images across {len(manifest.class_names)} classes "
           f"under {config.dataset_root}")
-    return artifacts, {}
+    return {}
 
 
 def _enhance(config: RunConfig, image: GrayImage) -> GrayImage:
@@ -266,15 +261,13 @@ def _preprocess_one(config: RunConfig, manifest: DatasetManifest, rel_path: str)
         cropped = auto_crop_margins(image, config.background_threshold)
         resized = resize_bilinear(cropped, config.image_size, config.image_size)
         enhanced = _enhance(config, resized)
-        out_path = os.path.join(_preprocessed_dir(config), rel_path)
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-        save_pgm(enhanced, out_path)
+        save_pgm(enhanced, os.path.join(_preprocessed_dir(config), rel_path))
     except (PgmError, ValueError, OSError) as exc:
         return str(exc)
     return None
 
 
-def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, str]]:
+def cmd_preprocess(config: RunConfig) -> dict[str, str]:
     manifest = scan_dataset(config.dataset_root)
     out_root = _preprocessed_dir(config)
     # one image per job on the workers; the skips are reported in manifest order
@@ -298,19 +291,16 @@ def cmd_preprocess(config: RunConfig) -> tuple[list[str], dict[str, str]]:
         raise DatasetError(f"preprocess wrote no image of class {manifest.class_names[emptied[0]]!r}")
     # only this run's images: files left by an earlier run stay out of later stages
     out_manifest = DatasetManifest(out_root, tuple(written), manifest.class_names)
-    manifest_csv = os.path.join(out_root, "manifest.csv")
-    manifest_to_csv(out_manifest, manifest_csv)
-    artifacts = [out_manifest.full_path(rel) for rel, _ in written] + [manifest_csv]
+    manifest_to_csv(out_manifest, os.path.join(out_root, "manifest.csv"))
     print(f"preprocess: wrote {len(out_manifest)} images at {config.image_size}x"
           f"{config.image_size} under {out_root} ({len(failures)} skipped)")
-    return artifacts, {}
+    return {}
 
 
-def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
+def cmd_fcm(config: RunConfig) -> dict[str, str]:
     manifest = _preprocessed_manifest(config)
     out_root = _fcm_dir(config)
     fcm_seed = stage_seed(config.seed, "fcm")
-    artifacts = []
     summaries = []
     iterations, converged, level_counts = [], 0, []
     for index, (rel_path, _) in enumerate(manifest.entries):
@@ -319,29 +309,24 @@ def cmd_fcm(config: RunConfig) -> tuple[list[str], dict[str, str]]:
             label_map, result = fcm_segment(image, config.fcm_config(derive_seed(fcm_seed, index)))
         except ValueError as exc:
             raise DatasetError(f"fcm failed on {rel_path}: {exc}") from exc
-        labels_path = _fcm_path(config, rel_path, "labels.pgm")
-        os.makedirs(os.path.dirname(labels_path), exist_ok=True)
-        save_pgm(label_map, labels_path)
-        memberships_path = _fcm_path(config, rel_path, "U.csv")
-        save_matrix_csv(np.column_stack([result.levels, result.memberships]), memberships_path)
-        artifacts.extend([labels_path, memberships_path])
+        save_pgm(label_map, _fcm_path(config, rel_path, "labels.pgm"))
+        save_matrix_csv(np.column_stack([result.levels, result.memberships]),
+                        _fcm_path(config, rel_path, "U.csv"))
         centroids = ",".join(f"{v:.17g}" for v in result.centroids[:, 0])
         summaries.append(f"{rel_path},{format_run_summary(result)},{centroids}")
         iterations.append(result.iterations_run)
         converged += result.converged
         level_counts.append(result.levels.size)
     header = "path,iterations,final_shift,converged" + "".join(f",v_{j}" for j in range(config.fcm_clusters))
-    summary_path = os.path.join(out_root, "summaries.csv")
-    write_atomic(summary_path, "\n".join([header, *summaries]) + "\n")
-    artifacts.append(summary_path)
+    write_atomic(os.path.join(out_root, "summaries.csv"), "\n".join([header, *summaries]) + "\n")
     print(f"fcm: segmented {len(manifest)} images with c={config.fcm_clusters} under {out_root}; "
           f"converged {converged}/{len(manifest)}, iterations median "
           f"{np.median(iterations):g} max {max(iterations)}, "
           f"gray levels median {np.median(level_counts):g}")
-    return artifacts, {"images_sha256": _images_sha256(manifest)}
+    return {"images_sha256": _images_sha256(manifest)}
 
 
-def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
+def cmd_train(config: RunConfig) -> dict[str, str]:
     manifest = _preprocessed_manifest(config)
     _check_masks(config, manifest)
     train_manifest, val_manifest, split_sha256 = _split(config, manifest)
@@ -372,22 +357,18 @@ def cmd_train(config: RunConfig) -> tuple[list[str], dict[str, str]]:
 
     history = train(network, (train_x, train_y), (val_x, val_y), train_config, augment_fn=batch_tensor)
 
-    out_dir = _train_dir(config)
-    os.makedirs(out_dir, exist_ok=True)
-    checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
+    checkpoint_path = os.path.join(_train_dir(config), "checkpoint.bin")
     save_checkpoint(network, checkpoint_path)
-    history_path = os.path.join(out_dir, "history.csv")
-    history.save_csv(history_path)
-    artifacts = [checkpoint_path, f"{checkpoint_path}.layers.csv", history_path]
+    history.save_csv(os.path.join(_train_dir(config), "history.csv"))
     print(
         f"train: {len(history)} epochs (best {history.best_epoch}), "
         f"final train_acc={history.train_acc[-1]:.3f} val_acc={history.val_acc[-1]:.3f}; "
         f"checkpoint at {checkpoint_path}"
     )
-    return artifacts, {"duration_s.load": f"{load_seconds:.3f}", "split_sha256": split_sha256}
+    return {"duration_s.load": f"{load_seconds:.3f}", "split_sha256": split_sha256}
 
 
-def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
+def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     checkpoint_path = os.path.join(_train_dir(config), "checkpoint.bin")
     network = load_checkpoint(checkpoint_path)
     if network.input_size != config.image_size:
@@ -429,17 +410,13 @@ def cmd_evaluate(config: RunConfig) -> tuple[list[str], dict[str, str]]:
     }
 
     out_dir = _eval_dir(config)
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = []
     for name, text in texts.items():
-        path = os.path.join(out_dir, name)
-        write_atomic(path, text)
-        artifacts.append(path)
+        write_atomic(os.path.join(out_dir, name), text)
 
     print(report_text)
     print(f"evaluate: {len(val_manifest)} validation images, accuracy {report.accuracy:.3f}; "
           f"artifacts under {out_dir}")
-    return artifacts, {}
+    return {}
 
 
 def cmd_report_demo() -> int:
@@ -548,8 +525,9 @@ def main(argv=None) -> int:
         return cmd_report_demo()
     try:
         started = time.perf_counter()
-        artifacts, record = COMMANDS[args.command](config)
-        _write_run_record(config, args.command, time.perf_counter() - started, record, artifacts)
+        with collecting_writes() as written:
+            record = COMMANDS[args.command](config)
+        _write_run_record(config, args.command, time.perf_counter() - started, record, written)
         return 0
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -101,17 +101,6 @@ class RunConfig:
         keys = (f.name for f in fields(TrainConfig) if f.name != "seed")
         return TrainConfig(seed=seed, **{key: getattr(self, key) for key in keys})
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()

@@ -9,6 +9,7 @@ formats is left to external tools.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -206,24 +207,50 @@ def save_pgm(image: GrayImage, path) -> None:
     write_atomic(path, header + image.tobytes())
 
 
+# path -> SHA-256 of the bytes written there, while `collecting_writes` is open
+_collected: dict[str, str] | None = None
+
+
 def write_atomic(path, data: str | bytes) -> None:
     """Write `data` (str as UTF-8) to `<path>.tmp`, then rename it onto `path`.
 
     An interrupted write leaves the old file or the new one, never a part of
-    either. The parent directory must exist. No fsync: this guards against a
-    killed process, not against power loss.
+    either. A missing parent directory is made. Inside `collecting_writes`
+    the write is reported with the digest of its bytes. No fsync: this guards
+    against a killed process, not against power loss.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    tmp_path = f"{os.fspath(path)}.tmp"
+    path = os.fspath(path)
+    tmp_path = f"{path}.tmp"
     try:
-        with open(tmp_path, "wb") as fh:
+        try:
+            fh = open(tmp_path, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(tmp_path), exist_ok=True)
+            fh = open(tmp_path, "wb")
+        with fh:
             fh.write(data)
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp_path)
         raise
+    collected = _collected
+    if collected is not None:  # one dict store: safe from worker threads
+        collected[path] = hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def collecting_writes():
+    """Yield a dict that maps each path `write_atomic` writes until the block
+    ends to the SHA-256 of its last bytes; outside the block nothing is kept."""
+    global _collected
+    _collected = collected = {}
+    try:
+        yield collected
+    finally:
+        _collected = None
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +462,6 @@ def generate_synthetic_dataset(
     if image_size < 16:
         raise ValueError(f"image_size must be >= 16, got {image_size}")
     root_dir = os.fspath(root_dir)
-    for name in SYNTHETIC_CLASSES:
-        os.makedirs(os.path.join(root_dir, name), exist_ok=True)
 
     def write(_, job: tuple[int, int]) -> tuple[str, int]:
         class_idx, i = job

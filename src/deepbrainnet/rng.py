@@ -107,9 +107,9 @@ class Prng:
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n), by rejection sampling."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
         span = 1 << 64
+        if not 1 <= n <= span:  # above 2**64 the threshold below is 0 and rejects every draw
+            raise ValueError("below() needs a bound in [1, 2**64]")
         threshold = span - span % n
         while True:
             u = self.next_u64()

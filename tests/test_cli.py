@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepbrainnet import cli, parallel
+from deepbrainnet import cli, dataio, parallel
 from deepbrainnet.config import ConfigError, RunConfig, parse_config
 from deepbrainnet.dataio import GrayImage, load_pgm, manifest_to_csv, save_pgm, scan_dataset
 from deepbrainnet.nnet import build_deepbrainnet_mini, load_checkpoint, predict, save_checkpoint
@@ -639,6 +640,67 @@ def test_run_record_digests_verify(tmp_path):
     for _, digest, rel in digests:
         blob = (out / rel.strip()).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _files_with_inodes(root: Path) -> dict[str, tuple[int, bytes]]:
+    """(inode, bytes) of every file under root: write_atomic's rename gives a rewritten file a new inode."""
+    return {str(p.relative_to(root)): (p.stat().st_ino, p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+STAGES = ("synth", "preprocess", "fcm", "train", "evaluate")
+
+
+@pytest.mark.parametrize("command", STAGES)
+def test_the_run_record_lists_exactly_the_files_its_command_wrote(tmp_path, command):
+    """First into an empty tree, then over its own outputs: the record names each file
+    the command created or rewrote, with the digest of its bytes, and no other."""
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out",
+                       fcm_mask_enabled="true", epochs=1)
+    for earlier in STAGES[:STAGES.index(command)]:
+        assert run(earlier, "--config", cfg) == 0, earlier
+    record = os.path.join("out", f"runrecord_{command}.txt")
+    for _ in ("into an empty tree", "over its own outputs"):
+        before = _files_with_inodes(tmp_path)
+        assert run(command, "--config", cfg) == 0
+        after = _files_with_inodes(tmp_path)
+        changed = {path for path, state in after.items() if before.get(path) != state} - {record}
+        listed = {}
+        for line in (tmp_path / record).read_text().splitlines():
+            if line.startswith("artifact: "):
+                digest, rel = line[len("artifact: "):].split("  ", 1)
+                listed[os.path.normpath(os.path.join("out", rel))] = digest
+        assert changed and set(listed) == changed
+        for path, digest in listed.items():
+            assert hashlib.sha256(after[path][1]).hexdigest() == digest, path
+
+
+def test_writes_outside_a_command_are_not_collected(tmp_path, monkeypatch):
+    """Library calls, and writes after a command that exited 2 partway through, record nothing."""
+    collections = []
+
+    @contextlib.contextmanager
+    def watched():
+        with dataio.collecting_writes() as written:
+            collections.append(written)
+            yield written
+
+    monkeypatch.setattr(cli, "collecting_writes", watched)
+    save_pgm(GrayImage(1, 1, [0]), tmp_path / "library.pgm")
+    save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0), tmp_path / "library.bin")
+    assert dataio._collected is None and collections == []
+
+    cfg = write_config(tmp_path / "run.cfg", dataset_root=tmp_path / "dataset", output_dir=tmp_path / "out")
+    assert run("synth", "--config", cfg) == 0
+    for name in ("blank_000", "blob_000", "ring_000"):  # 3 of 16 images: over preprocess's 10 %
+        (tmp_path / "dataset" / name.split("_")[0] / f"{name}.pgm").write_bytes(b"")
+    assert run("preprocess", "--config", cfg) == 2
+    written = dict(collections[-1])
+    assert len(written) == 13  # the images preprocess wrote before it gave up
+    save_pgm(GrayImage(1, 1, [0]), tmp_path / "after.pgm")
+    save_checkpoint(build_deepbrainnet_mini(32, 4, seed=0), tmp_path / "after.bin")
+    assert dataio._collected is None and collections[-1] == written
+    assert not (tmp_path / "out" / "runrecord_preprocess.txt").exists()
 
 
 def test_evaluate_after_a_changed_seed_is_data_error(tmp_path, capsys):

@@ -266,8 +266,16 @@ def test_small_file_shape(tmp_path):
 
 
 def test_save_to_unwritable_directory(tmp_path):
+    (tmp_path / "file").write_bytes(b"")  # a parent that is a file cannot be made a directory
     with pytest.raises(OSError):
-        save_pgm(GrayImage(1, 1, [0]), tmp_path / "missing" / "a.pgm")
+        save_pgm(GrayImage(1, 1, [0]), tmp_path / "file" / "a.pgm")
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_save_makes_a_missing_parent_directory(tmp_path):
+    save_pgm(GrayImage(1, 1, [7]), tmp_path / "missing" / "deeper" / "a.pgm")
+    assert load_pgm(tmp_path / "missing" / "deeper" / "a.pgm") == GrayImage(1, 1, [7])
+    assert os.listdir(tmp_path / "missing" / "deeper") == ["a.pgm"]
 
 
 def _write_half_then_fail(real_open):

@@ -188,6 +188,16 @@ def test_belows_rejects_bounds_out_of_range(bounds):
         Prng(1).belows(bounds)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**65])
+def test_below_rejects_bounds_out_of_range(n):
+    with pytest.raises(ValueError):
+        Prng(1).below(n)
+
+
+def test_below_takes_the_full_64_bit_span():
+    assert Prng(1).below(2**64) == Prng(1).next_u64()
+
+
 def test_belows_refuses_float_bounds():
     with pytest.raises(TypeError):
         Prng(1).belows([2**63 + 1, 5.0])
